@@ -103,8 +103,8 @@ def hankel_bits(source: str, n: int) -> np.ndarray:
     """Hankel matrix of mu (shift 0) or of its shift by one."""
     _check_size(n)
     shift = {MU_SHIFT0: 0, MU_SHIFT1: 1}[source]
-    vals = np.array([seq.mu(m + shift) for m in range(2 * n - 1)],
-                    dtype=np.int8)
+    m = np.arange(shift, 2 * n - 1 + shift, dtype=np.int64)
+    vals = (((m + 1) & m) == 0).astype(np.int8)  # mu(m): m + 1 a power of two
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     return vals[i + j]
@@ -113,27 +113,119 @@ def hankel_bits(source: str, n: int) -> np.ndarray:
 def sign_diag(kind: str, n: int) -> np.ndarray:
     """Diagonal of the named sign matrix as a 1-D int vector."""
     _check_size(n)
-    idx = range(n)
-    if kind == "s":
-        return np.array([seq.s(i) for i in idx], dtype=np.int64)
+    i = np.arange(n, dtype=np.int64)
+    if kind == "s":  # (-1)^b0(i), b0 counting the "10" factors of i
+        b0 = np.bitwise_count((i >> 1) & ~i)
+        return 1 - 2 * (b0 & 1).astype(np.int64)
     if kind == "a":
-        return np.array([(-1) ** (i % 2) for i in idx], dtype=np.int64)
+        return 1 - 2 * (i & 1)
     if kind == "e":
-        return np.array([1 - i % 2 for i in idx], dtype=np.int64)
+        return 1 - (i & 1)
     if kind == "o":
-        return np.array([i % 2 for i in idx], dtype=np.int64)
-    if kind == "stilde":
-        return np.array([seq.s_tilde(i) for i in idx], dtype=np.int64)
+        return i & 1
+    if kind == "stilde":  # -1 iff the bit above the lowest zero bit is set
+        lowest_zero = ~i & (i + 1)
+        return 1 - 2 * ((i & (lowest_zero << 1)) != 0).astype(np.int64)
     if kind == "ttilde":
-        return np.array([seq.t_tilde(i) for i in idx], dtype=np.int64)
+        return np.array([seq.t_tilde(k) for k in range(n)], dtype=np.int64)
     raise ValueError(f"unknown sign kind {kind!r}")
 
 
-def mat_mul_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product of two same-size square matrices."""
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("operands must be equal-size square matrices")
-    return a.astype(np.int64) @ b.astype(np.int64)
+# entries of the (row block x columns) scratch arrays in signed_product
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as uint64 words, word-major: shape (words, rows)."""
+    rows, k = bits.shape
+    packed = np.zeros((rows, -(-k // 64) * 8), dtype=np.uint8)
+    packed[:, :(k + 7) // 8] = np.packbits(bits, axis=1)
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+def _planes(a: np.ndarray):
+    """Yield (weight, 0/1 plane) pairs, one at a time, with a == sum of
+    weight * plane; weights are +-2^p."""
+    lo, hi = int(a.min(initial=0)), int(a.max(initial=0))
+    if a.shape[1] * max(hi, -lo) > np.iinfo(np.int64).max:
+        raise ValueError("the product could overflow int64")
+    # the narrowest signed dtype holding +-max|a| keeps the temporaries small
+    a = a.astype(np.min_scalar_type(-max(hi, -lo) - 1), copy=False)
+    for sign, top in ((1, hi), (-1, -lo)):
+        if top <= 0:
+            continue
+        mag = a if sign > 0 else np.negative(a)
+        side = mag > 0 if lo < 0 < hi else None
+        for p in range(top.bit_length()):
+            plane = ((mag >> p) & 1).astype(np.bool_)
+            yield sign << p, plane if side is None else plane & side
+
+
+def _accumulate(out: np.ndarray, passes: list, cols: np.ndarray) -> None:
+    """out[i, j] += weight * popcount(rows[:, i] & cols[:, j]) for every
+    (weight, rows) pass, where rows and cols are word-major packed bit
+    vectors; done over row blocks to bound the scratch arrays."""
+    words, n_j = cols.shape
+    n_i = out.shape[0]
+    step = max(1, min(n_i, _BLOCK_ENTRIES // max(n_j, 1)))
+    both = np.empty((step, n_j), dtype=np.uint64)
+    count = np.empty((step, n_j), dtype=np.uint8)
+    # a sum of popcounts is at most the inner dimension
+    total = np.empty((step, n_j), dtype=np.min_scalar_type(words * 64))
+    for i in range(0, n_i, step):
+        m = min(step, n_i - i)
+        for weight, rows in passes:
+            total[:m] = 0
+            # words that are zero in every row of the block add nothing:
+            # about half of them for a triangular operand, nearly all for a
+            # diagonal one
+            for w in np.flatnonzero(rows[:, i:i + m].any(axis=1)):
+                np.bitwise_and(rows[w, i:i + m, None], cols[w], out=both[:m])
+                np.bitwise_count(both[:m], out=count[:m])
+                np.add(total[:m], count[:m], out=total[:m])
+            out[i:i + m] += np.int64(weight) * total[:m]
+
+
+def signed_product(a: np.ndarray, w: np.ndarray | None,
+                   b: np.ndarray) -> np.ndarray:
+    """Exact integer product a . diag(w) . b, as int64.
+
+    b is a 0/1 matrix, a a small integer matrix, and w a vector over
+    {-1, 0, 1} (None for all ones).  The columns of b are packed into
+    uint64 words; a is split by sign and bit into 0/1 planes, whose packed
+    rows are ANDed with the packed masks of w > 0 and w < 0.  Each entry is
+    the sum of sign * 2^p * popcount(row & mask & column): integers only.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    if a.dtype.kind not in "biu" or b.dtype.kind not in "biu":
+        raise ValueError("operands must be integer matrices")
+    bits = b.astype(np.bool_)
+    if (bits != b).any():
+        raise ValueError("the right operand must be a 0/1 matrix")
+    cols = _pack(bits.T)
+    if w is None:
+        masks = [(1, None)]
+    else:
+        w = np.asarray(w)
+        if w.shape != (a.shape[1],) or w.dtype.kind not in "biu":
+            raise ValueError(f"weights must be an integer vector of length "
+                             f"{a.shape[1]}")
+        if w.min(initial=0) < -1 or w.max(initial=0) > 1:
+            raise ValueError("weights must lie in {-1, 0, 1}")
+        # shape (words, 1): one mask word broadcast over all rows
+        masks = [(sign, _pack(side[None, :])) for sign, side
+                 in ((1, w > 0), (-1, w < 0)) if side.any()]
+    passes = []
+    for weight, plane in _planes(a):
+        rows = _pack(plane)
+        passes += [(weight * sign, rows if mask is None else rows & mask)
+                   for sign, mask in masks]
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    _accumulate(out, passes, cols)
+    return out
 
 
 def _compare(report: VerifyReport, got: np.ndarray,
@@ -145,10 +237,9 @@ def _compare(report: VerifyReport, got: np.ndarray,
 
 def _five_factor(n: int) -> np.ndarray:
     """D_s L D_a L^t D_s, exact."""
-    lmat = build_tri(L, n).astype(np.int64)
+    lmat = build_tri(L, n)
     sv = sign_diag("s", n)
-    av = sign_diag("a", n)
-    core = (lmat * av[None, :]) @ lmat.T
+    core = signed_product(lmat, sign_diag("a", n), lmat.T)
     return sv[:, None] * core * sv[None, :]
 
 
@@ -164,14 +255,14 @@ def verify_thm3(n: int) -> VerifyReport:
     """L D_a M == D_a, and the signed inverse P (D_s L D_s) == identity."""
     _check_size(n)
     report = VerifyReport("thm3", n)
-    lmat = build_tri(L, n).astype(np.int64)
-    mmat = build_tri(M, n).astype(np.int64)
+    lmat = build_tri(L, n)
+    mmat = build_tri(M, n)
     sv = sign_diag("s", n)
     av = sign_diag("a", n)
-    _compare(report, (lmat * av[None, :]) @ mmat, np.diag(av))
-    p = (sv * av)[:, None] * mmat * (av * sv)[None, :]
-    sls = sv[:, None] * lmat * sv[None, :]
-    _compare(report, p @ sls, np.eye(n, dtype=np.int64))
+    _compare(report, signed_product(lmat, av, mmat), np.diag(av))
+    # P = D_s D_a M D_a D_s, so P (D_s L D_s) = D_s D_a M D_(a s s) L D_s
+    got = (sv * av)[:, None] * signed_product(mmat, av * sv * sv, lmat)
+    _compare(report, got * sv[None, :], np.eye(n, dtype=np.int64))
     return report
 
 
@@ -179,34 +270,41 @@ def verify_prop_mdl(n: int) -> VerifyReport:
     """M D_e L == A + D_e and M D_o L == A + D_o."""
     _check_size(n)
     report = VerifyReport("mdl", n)
-    lmat = build_tri(L, n).astype(np.int64)
-    mmat = build_tri(M, n).astype(np.int64)
-    a_strict = build_tri(A_STRICT, n).astype(np.int64)
+    lmat = build_tri(L, n)
+    mmat = build_tri(M, n)
+    a_strict = build_tri(A_STRICT, n)
     for kind in ("e", "o"):
         mask = sign_diag(kind, n)
-        _compare(report, (mmat * mask[None, :]) @ lmat,
+        _compare(report, signed_product(mmat, mask, lmat),
                  a_strict + np.diag(mask))
     return report
 
 
 def verify_prop_ml_lm(n: int) -> VerifyReport:
     """ML entry pattern 0/1/2, LM block recursion, and both inverses."""
-    _check_size(n)
+    # the LM chain is checked against babab_expand, which stops at
+    # MAX_BLOCK_STEPS doublings
+    _check_size(n, 2 << MAX_BLOCK_STEPS)
     report = VerifyReport("ml-lm", n)
-    lmat = build_tri(L, n).astype(np.int64)
-    mmat = build_tri(M, n).astype(np.int64)
+    lmat = build_tri(L, n)
+    mmat = build_tri(M, n)
     av = sign_diag("a", n)
-    ml = mmat @ lmat
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    pattern = np.where(i < j, 0, np.where(i == j, 1, 2))
-    _compare(report, ml, pattern)
-    lm = lmat @ mmat
+    _compare(report, signed_product(mmat, None, lmat),
+             np.where(i < j, 0, np.where(i == j, 1, 2)))
     steps = max(0, (max(n - 1, 1)).bit_length() - 1)
-    _compare(report, lm, babab_expand(LM_RULE, steps)[:n, :n])
+    _compare(report, signed_product(lmat, None, mmat),
+             babab_expand(LM_RULE, steps)[:n, :n])
+    # ML D_a ML D_a == M (L D_a M) L D_a and LM D_a LM D_a == L (M D_a L) M D_a
+    # as integer matrices; multiplied out so every right factor is 0/1, and
+    # left . inner taken as (inner^t left^t)^t
     ident = np.eye(n, dtype=np.int64)
-    _compare(report, ml @ (av[:, None] * ml * av[None, :]), ident)
-    _compare(report, lm @ (av[:, None] * lm * av[None, :]), ident)
+    for left, right in ((mmat, lmat), (lmat, mmat)):
+        inner = signed_product(right, av, left)
+        outer = signed_product(inner.T, None, left.T).T
+        _compare(report, signed_product(outer, None, right) * av[None, :],
+                 ident)
     return report
 
 
@@ -214,16 +312,16 @@ def verify_thm5(n: int) -> VerifyReport:
     """Shifted-Hankel factorization, its inverses, and the interleavings."""
     _check_size(n)
     report = VerifyReport("thm5", n)
-    lt = build_tri(LTILDE, n).astype(np.int64)
-    mt = build_tri(MTILDE, n).astype(np.int64)
+    lt = build_tri(LTILDE, n)
+    mt = build_tri(MTILDE, n)
     sv = sign_diag("stilde", n)
     tv = sign_diag("ttilde", n)
-    core = (lt * sv[None, :]) @ lt.T
+    core = signed_product(lt, sv, lt.T)
     _compare(report, tv[:, None] * core * tv[None, :],
              hankel_bits(MU_SHIFT1, n))
     dstilde = np.diag(sv)
-    _compare(report, (lt * sv[None, :]) @ mt, dstilde)
-    _compare(report, (mt * sv[None, :]) @ lt, dstilde)
+    _compare(report, signed_product(lt, sv, mt), dstilde)
+    _compare(report, signed_product(mt, sv, lt), dstilde)
     # parity vanishing and interleaving recursions
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
@@ -231,8 +329,8 @@ def verify_thm5(n: int) -> VerifyReport:
     _compare(report, lt * odd_parity, np.zeros_like(lt))
     h = n // 2
     if h >= 1:
-        lmat = build_tri(L, h).astype(np.int64)
-        mmat = build_tri(M, h).astype(np.int64)
+        lmat = build_tri(L, h)
+        mmat = build_tri(M, h)
         _compare(report, lt[0:2 * h:2, 0:2 * h:2], lmat)
         _compare(report, mt[0:2 * h:2, 0:2 * h:2], mmat)
         _compare(report, lt[1:2 * h:2, 1:2 * h:2], lt[:h, :h])
@@ -251,7 +349,7 @@ def verify_babab(n: int) -> VerifyReport:
     while size <= n:
         for rule, kind in pairs:
             got = babab_expand(rule, steps)
-            _compare(report, got, build_tri(kind, size).astype(np.int64))
+            _compare(report, got, build_tri(kind, size))
         size *= 2
         steps += 1
     return report

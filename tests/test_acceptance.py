@@ -54,8 +54,9 @@ def test_02_block_recursions():
         problems = report_problems(gf2sign.verify_babab(256))
         for steps in range(8):  # LM chain, sizes 2..256
             n = 2 << steps
-            lm = gf2sign.mat_mul_small(gf2sign.build_tri(gf2sign.L, n),
-                                       gf2sign.build_tri(gf2sign.M, n))
+            lm = gf2sign.signed_product(gf2sign.build_tri(gf2sign.L, n),
+                                        None,
+                                        gf2sign.build_tri(gf2sign.M, n))
             got = gf2sign.babab_expand(gf2sign.LM_RULE, steps)
             if (got != lm).any():
                 problems.append(f"LM chain differs at size {n}")

@@ -77,10 +77,14 @@ def test_hankel_bits_structure():
         for i in range(n):
             for j in range(n):
                 assert h[i, j] == seq.mu(i + j + shift)
+        # row 0 and the last column hold every index below 2 * 2049 - 1
+        h = gf2sign.hankel_bits(source, 2049)
+        vals = np.concatenate([h[0], h[1:, -1]])
+        assert vals.tolist() == [seq.mu(m + shift) for m in range(4097)]
 
 
 def test_sign_diag_values():
-    n = 16
+    n = 4096
     assert gf2sign.sign_diag("s", n).tolist() == [seq.s(i) for i in range(n)]
     assert gf2sign.sign_diag("a", n).tolist() == \
         [(-1) ** (i % 2) for i in range(n)]
@@ -92,9 +96,95 @@ def test_sign_diag_values():
         [seq.t_tilde(i) for i in range(n)]
 
 
-def test_mat_mul_small_rejects_mismatch():
+def product_oracle(a, w, b):
+    """a . diag(w) . b with numpy's int64 matmul."""
+    weights = np.ones(a.shape[1], dtype=np.int64) if w is None else w
+    return (np.asarray(a, dtype=np.int64) * weights[None, :]) \
+        @ np.asarray(b, dtype=np.int64)
+
+
+KERNEL_SIZES = [1, 2, 7, 63, 64, 65, 127, 128, 129, 200]
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_signed_product_matches_oracle(n):
+    rng = np.random.default_rng(n)
+    b = rng.integers(0, 2, (n, n), dtype=np.int8)
+    lefts = [rng.integers(0, 2, (n, n), dtype=np.int8),
+             rng.integers(-3, 4, (n, n)),
+             rng.integers(-128, 128, (n, n), dtype=np.int8),
+             rng.integers(0, 2, (n, n)).astype(bool)]
+    weights = [None, rng.integers(-1, 2, n), rng.integers(0, 2, n)]
+    for a in lefts:
+        for w in weights:
+            got = gf2sign.signed_product(a, w, b)
+            assert got.dtype == np.int64
+            assert (got == product_oracle(a, w, b)).all()
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_signed_product_extreme_operands(n):
+    ones = np.ones((n, n), dtype=np.int8)
+    zeros = np.zeros((n, n), dtype=np.int8)
+    assert (gf2sign.signed_product(ones, None, ones) == n).all()
+    minus = -np.ones(n, dtype=np.int64)
+    assert (gf2sign.signed_product(ones, minus, ones) == -n).all()
+    assert not gf2sign.signed_product(zeros, minus, ones).any()
+    assert not gf2sign.signed_product(ones, None, zeros).any()
+    assert not gf2sign.signed_product(ones, 0 * minus, ones).any()
+
+
+def test_signed_product_rectangular():
+    rng = np.random.default_rng(7)
+    a = rng.integers(-5, 6, (3, 130))
+    b = rng.integers(0, 2, (130, 70), dtype=np.int8)
+    w = rng.integers(-1, 2, 130)
+    assert (gf2sign.signed_product(a, w, b) == product_oracle(a, w, b)).all()
+    assert gf2sign.signed_product(a[:, :0], w[:0], b[:0]).tolist() == \
+        [[0] * 70] * 3
+    assert gf2sign.signed_product(a[:0], w, b).shape == (0, 70)
+    assert gf2sign.signed_product(a, w, b[:, :0]).shape == (3, 0)
+
+
+def test_signed_product_rejects_mismatch():
+    eye2 = np.eye(2, dtype=np.int8)
     with pytest.raises(ValueError):
-        gf2sign.mat_mul_small(np.eye(2), np.eye(3))
+        gf2sign.signed_product(eye2, None, np.eye(3, dtype=np.int8))
+    with pytest.raises(ValueError):
+        gf2sign.signed_product(eye2, np.ones(3, dtype=np.int8), eye2)
+    with pytest.raises(ValueError):  # right operand not 0/1
+        gf2sign.signed_product(eye2, None, 2 * eye2)
+    with pytest.raises(ValueError):  # weight outside {-1, 0, 1}
+        gf2sign.signed_product(eye2, np.array([1, 2]), eye2)
+    with pytest.raises(ValueError):  # no floats in the product path
+        gf2sign.signed_product(np.eye(2), None, eye2)
+
+
+def test_signed_product_rejects_int64_overflow():
+    big = np.full((1, 2), 1 << 62, dtype=np.int64)
+    with pytest.raises(ValueError):
+        gf2sign.signed_product(big, None, np.ones((2, 1), dtype=np.int8))
+
+
+def test_flipped_entry_is_reported_where_it_lands(monkeypatch):
+    # flipping L[5, 0] from 0 to 1 adds a_0 M[0] = e_0 to row 5 of L D_a M,
+    # so the first identity of thm3 fails at (5, 0) alone, and the second
+    # only in column 0
+    build = gf2sign.build_tri
+
+    def faulty(kind, n):
+        mat = build(kind, n)
+        if kind == gf2sign.L:
+            mat[5, 0] ^= 1
+        return mat
+
+    monkeypatch.setattr(gf2sign, "build_tri", faulty)
+    report = gf2sign.verify_thm3(16)
+    assert not report.ok
+    first = report.failures[0]
+    assert (first.i, first.j, first.expected, first.got) == (5, 0, 0, 1)
+    assert all(f.j == 0 for f in report.failures)
+    assert not gf2sign.verify_prop_ml_lm(16).ok
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
@@ -135,6 +225,15 @@ def test_babab_seed_and_growth():
         gf2sign.babab_expand(gf2sign.L_RULE, gf2sign.MAX_BLOCK_STEPS + 1)
     with pytest.raises(ValueError):
         gf2sign.babab_expand("bogus", 1)
+
+
+def test_ml_lm_guard_precedes_products(monkeypatch):
+    def no_build(kind, n):
+        raise AssertionError("built a matrix before the size guard")
+
+    monkeypatch.setattr(gf2sign, "build_tri", no_build)
+    with pytest.raises(SizeGuardError, match="8192"):
+        gf2sign.verify_prop_ml_lm(8193)
 
 
 def test_lm_block_recursion_matches_product():
