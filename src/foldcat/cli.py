@@ -133,8 +133,7 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_dets(args) -> int:
-    moments = cfseries.mu_moments()
-    values = [cfseries.hankel_det(moments, n) for n in range(1, args.max + 1)]
+    values = cfseries.hankel_minors(cfseries.mu_moments(), args.max)
     print(_emit_values(values, args.format))
     return 0
 

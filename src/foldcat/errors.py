@@ -17,5 +17,16 @@ class SingularMinorError(ValueError):
         super().__init__(f"singular leading principal minor of order {k + 1}")
 
 
+class InvariantError(ValueError):
+    """An identity checked inside a computation failed at one position."""
+
+    def __init__(self, what: str, where, expected, got):
+        self.what = what
+        self.where = where
+        self.expected = expected
+        self.got = got
+        super().__init__(f"{what} at {where}: expected {expected}, got {got}")
+
+
 class NoConvergenceError(RuntimeError):
     """Continued fraction failed to stabilize within the step budget."""

@@ -1,6 +1,10 @@
 """Series engine, continued fractions, Hankel LU, uniqueness search."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -10,12 +14,12 @@ from foldcat import catalanz, cfseries, seq
 from foldcat.cfseries import (Mat2, MomentFunctional, MultiPoly, TruncSeries,
                               catalan_moments, cf_limit, cf_limit_example,
                               det_int, hankel_det, hankel_lu_rational,
-                              jacobi_series, mu_moments, mu_series,
-                              mu_shifted_moments, orth_polys,
+                              hankel_minors, jacobi_series, mu_moments,
+                              mu_series, mu_shifted_moments, orth_polys,
                               power_of_two_series, stieltjes_extract,
                               uniqueness_check, uniqueness_search,
                               word_matrix, x_polys)
-from foldcat.errors import (NoConvergenceError, NonUnitError,
+from foldcat.errors import (InvariantError, NoConvergenceError, NonUnitError,
                             SingularMinorError, SizeGuardError)
 
 
@@ -37,17 +41,6 @@ def test_series_mul_div_round_trip():
 def test_series_inverse_rejects_zero_constant():
     with pytest.raises(NonUnitError):
         TruncSeries([0, 1], 4).inverse()
-
-
-def test_series_arith_dispatch():
-    a = TruncSeries([1, 1], 4)
-    b = TruncSeries([1, -1], 4)
-    assert cfseries.series_arith(a, b, "ADD").coeffs[:2] == [2, 0]
-    assert cfseries.series_arith(a, b, "MUL").coeffs[:3] == [1, 0, -1]
-    assert cfseries.series_arith(a, b, "DIV") == a / b
-    assert cfseries.series_arith(a, b, "INV_B") == b.inverse()
-    with pytest.raises(ValueError):
-        cfseries.series_arith(a, b, "SUB")
 
 
 def test_series_order_mismatch_rejected():
@@ -229,6 +222,85 @@ def test_folded_limits_match_sparse_series():
     assert cfseries.verify_thm1((80, 30, 30)).ok
 
 
+# The dense recurrence with an explicit series inverse that cf_limit used
+# before its convergents became sparse maps; kept as the oracle.
+
+def _oracle_poly_inv(q, order):
+    if not q or q[0] not in (1, -1):
+        raise NonUnitError("constant term must be a unit for integer inversion")
+    out = [0] * order
+    out[0] = q[0]
+    for k in range(1, order):
+        acc = 0
+        for i in range(1, min(k, len(q) - 1) + 1):
+            acc += q[i] * out[k - i]
+        out[k] = -q[0] * acc
+    return out
+
+
+def _oracle_series_div(p, q, order):
+    inv = _oracle_poly_inv(q, order)
+    out = [0] * order
+    for i, ca in enumerate(p[:order]):
+        if ca:
+            for j, cb in enumerate(inv[:order - i]):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def _oracle_cf_limit(numerators, order, b0=0):
+    p_prev, q_prev = [1], [0]
+    p_cur, q_cur = [b0], [1]
+    expsum = 0
+    steps = 0
+    for sign, exp in numerators:
+        if exp < 1:
+            raise ValueError("numerator exponents must be >= 1")
+        steps += 1
+        if steps > cfseries.CF_STEP_BUDGET:
+            break
+        p_new = [0] * min(max(len(p_cur), len(p_prev) + exp), order)
+        q_new = [0] * min(max(len(q_cur), len(q_prev) + exp), order)
+        for arr, cur, prev in ((p_new, p_cur, p_prev), (q_new, q_cur, q_prev)):
+            for k, c in enumerate(cur[:order]):
+                arr[k] += c
+            for k, c in enumerate(prev):
+                if k + exp < order:
+                    arr[k + exp] += sign * c
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_new, q_new
+        expsum += exp
+        if expsum >= order:
+            cur = _oracle_series_div(p_cur, q_cur, order)
+            if cur == _oracle_series_div(p_prev, q_prev, order):
+                return TruncSeries(cur, order)
+    raise NoConvergenceError(f"no stabilization to order {order}")
+
+
+def _outcome(call):
+    """The value of call(), or the type and arguments of what it raised."""
+    try:
+        return call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), getattr(exc, "k", None)
+
+
+@given(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(1, 4)),
+                max_size=60),
+       st.integers(1, 25), st.integers(-2, 2))
+@settings(max_examples=150)
+def test_cf_limit_matches_dense_oracle(stream, order, b0):
+    assert _outcome(lambda: cf_limit(iter(stream), order, b0)) == \
+        _outcome(lambda: _oracle_cf_limit(iter(stream), order, b0))
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_cf_limit_examples_match_dense_oracle(example):
+    for order in (1, 2, 3, 17, 64, 300):
+        want = _oracle_cf_limit(cfseries.example_numerators(example), order)
+        assert cf_limit_example(example, order) == want, order
+
+
 # ---------------------------------------------------------------------------
 # Jacobi fractions and moment functionals
 
@@ -310,6 +382,123 @@ def test_mu_jacobi_verification(n):
     assert cfseries.verify_thm4(n).ok
 
 
+def test_stieltjes_depth_guard_names_real_limit():
+    # depth n factors H(n + 1), so the LU limit caps the depth one lower
+    assert cfseries.MAX_JACOBI_DEPTH == cfseries.MAX_LU_SIZE - 1
+    assert len(stieltjes_extract(mu_moments(), 63).a) == 63
+    for n in (0, 64):
+        with pytest.raises(SizeGuardError, match=r"\[1, 63\]"):
+            stieltjes_extract(mu_moments(), n)
+
+
+# The Fraction L D L^t that hankel_lu_rational ran before it read L and D
+# from one Bareiss pass; kept as the oracle.
+
+def _oracle_hankel_ldl(moments, n):
+    h = [[Fraction(moments(i + j)) for j in range(n)] for i in range(n)]
+    low = [[Fraction(0)] * n for _ in range(n)]
+    diag = []
+    for j in range(n):
+        dj = h[j][j] - sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
+        if dj == 0:
+            raise SingularMinorError(j)
+        diag.append(dj)
+        low[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            v = h[i][j] - sum(low[i][k] * low[j][k] * diag[k]
+                              for k in range(j))
+            low[i][j] = v / dj
+    return low, diag
+
+
+@pytest.mark.parametrize("make", [mu_moments, catalan_moments,
+                                  mu_shifted_moments])
+def test_hankel_lu_matches_fraction_oracle(make):
+    for n in (1, 2, 5, 8, 17, 33):
+        assert _outcome(lambda: hankel_lu_rational(make(), n)) == \
+            _outcome(lambda: _oracle_hankel_ldl(make(), n)), n
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-4, 4),
+                                             min_size=2 * n - 1,
+                                             max_size=2 * n - 1))))
+@settings(max_examples=150)
+def test_hankel_lu_random_moments_match_fraction_oracle(case):
+    n, values = case
+    moments = MomentFunctional(values.__getitem__)
+    assert _outcome(lambda: hankel_lu_rational(moments, n)) == \
+        _outcome(lambda: _oracle_hankel_ldl(moments, n))
+
+
+def test_hankel_lu_rational_moments_match_fraction_oracle():
+    values = [Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4), Fraction(2),
+              Fraction(-7, 6), Fraction(1, 9), Fraction(4, 5)]
+    moments = MomentFunctional(values.__getitem__)
+    assert hankel_lu_rational(moments, 4) == _oracle_hankel_ldl(moments, 4)
+
+
+def _perturbed_lu(monkeypatch, row, col):
+    real = cfseries.hankel_lu_rational
+
+    def corrupted(moments, n):
+        low, diag = real(moments, n)
+        low[row][col] += 1
+        return low, diag
+
+    monkeypatch.setattr(cfseries, "hankel_lu_rational", corrupted)
+
+
+def test_stieltjes_check_localises_a_corrupted_entry(monkeypatch):
+    # L[5][1] lies off the band the coefficients are read from, so only
+    # the entry-by-entry check L(n) T == L_minus(n) can see it, at (4, 1)
+    _perturbed_lu(monkeypatch, 5, 1)
+    with pytest.raises(InvariantError) as info:
+        stieltjes_extract(mu_moments(), 8)
+    assert info.value.where == (4, 1)
+    assert (info.value.expected, info.value.got) == (1, 0)
+
+
+def test_stieltjes_det_check_raises(monkeypatch):
+    real = cfseries.hankel_lu_rational
+
+    def scaled_diag(moments, n):
+        low, diag = real(moments, n)
+        return low, [2 * d for d in diag]
+
+    monkeypatch.setattr(cfseries, "hankel_lu_rational", scaled_diag)
+    with pytest.raises(InvariantError, match="prod b_k"):
+        stieltjes_extract(mu_moments(), 3)
+
+
+def test_stieltjes_check_survives_optimized_mode():
+    # python -O strips assert statements; the check must still raise
+    script = textwrap.dedent("""
+        import sys
+        from foldcat import cfseries
+        from foldcat.errors import InvariantError
+        real = cfseries.hankel_lu_rational
+        def corrupted(moments, n):
+            low, diag = real(moments, n)
+            low[5][1] += 1
+            return low, diag
+        cfseries.hankel_lu_rational = corrupted
+        try:
+            cfseries.stieltjes_extract(cfseries.mu_moments(), 8)
+        except InvariantError as exc:
+            print(sys.flags.optimize, exc.where, exc.expected, exc.got)
+        else:
+            print(sys.flags.optimize, "no error")
+    """)
+    src = os.path.dirname(os.path.dirname(cfseries.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "(4,", "1)", "1", "0"]
+
+
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -357,6 +546,52 @@ def test_det_identities_suite():
     assert cfseries.verify_det_identities(20).ok
 
 
+def _leading_block(mat, k):
+    return [row[:k] for row in mat[:k]]
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=150)
+def test_bareiss_minors_match_det_int(mat):
+    n = len(mat)
+    minors, cols = cfseries._bareiss(mat)
+    assert minors == [det_int(_leading_block(mat, k)) for k in range(1, n + 1)]
+    # column j holds the bordered minors det(rows 0..j-1 and i, cols 0..j)
+    for j, col in enumerate(cols):
+        assert col == [det_int([mat[r][:j + 1] for r in list(range(j)) + [i]])
+                       for i in range(j, n)]
+    if 0 in minors:
+        assert len(cols) == minors.index(0)
+
+
+def test_bareiss_singular_leading_block_falls_back():
+    mat = [[1, 2, 3, 1], [2, 4, 1, 0], [0, 1, 5, 2], [1, 0, 2, 3]]
+    want = [det_int(_leading_block(mat, k)) for k in range(1, 5)]
+    assert want[1] == 0 and want[2] != 0
+    minors, cols = cfseries._bareiss(mat)
+    assert minors == want
+    assert len(cols) == 1
+    assert cfseries._bareiss(mat, all_minors=False) == (want[:2], cols)
+
+
+def test_hankel_minors_guard():
+    assert cfseries.MAX_DET_SIZE >= 128
+    for n in (0, -3, cfseries.MAX_DET_SIZE + 1):
+        with pytest.raises(SizeGuardError,
+                           match=rf"\[1, {cfseries.MAX_DET_SIZE}\]"):
+            hankel_minors(mu_moments(), n)
+
+
+def test_hankel_minors_one_pass_matches_each_det():
+    for make in (mu_moments, catalan_moments, mu_shifted_moments):
+        moments = make()
+        want = [det_int([[moments(i + j) for j in range(n)] for i in range(n)])
+                for n in range(1, 25)]
+        assert hankel_minors(moments, 24) == want
+
+
 # ---------------------------------------------------------------------------
 # orthogonal polynomials
 
@@ -380,6 +615,15 @@ def test_orth_polys_norms_are_signs():
 def test_orth_polys_guard():
     with pytest.raises(SizeGuardError):
         orth_polys(0)
+
+
+def test_orth_polys_recursion_check_raises(monkeypatch):
+    real_d = seq.d
+    monkeypatch.setattr(cfseries.seq, "d",
+                        lambda n: real_d(n) + (1 if n == 5 else 0))
+    with pytest.raises(InvariantError, match="three-term recursion") as info:
+        orth_polys(8)
+    assert info.value.where == 5
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +679,11 @@ def test_uniqueness_search_guard():
         uniqueness_search(1)
     with pytest.raises(SizeGuardError):
         uniqueness_search(11)
+
+
+def test_uniqueness_search_survivor_check_raises(monkeypatch):
+    monkeypatch.setattr(cfseries, "uniqueness_check",
+                        lambda c: cfseries.UniquenessResult(False, None, 2,
+                                                            "pattern"))
+    with pytest.raises(InvariantError, match="pattern check"):
+        uniqueness_search(4)

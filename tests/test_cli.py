@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from foldcat import cli, gf2sign
+from foldcat import cfseries, cli, gf2sign
 
 
 def run_cli(capsys, *argv):
@@ -101,10 +101,33 @@ def test_jacobi_output(capsys):
     assert data["b"] == ["-1"] * 5
 
 
+def test_jacobi_depth_guard_names_real_limit(capsys):
+    code, out, _ = run_cli(capsys, "jacobi", "--depth", "63")
+    assert code == 0
+    assert len(out.splitlines()[0].split()) == 1 + 63
+    code, out, err = run_cli(capsys, "jacobi", "--depth", "64")
+    assert code == 3
+    assert out == ""
+    assert "[1, 63]" in err and "Traceback" not in err
+
+
 def test_dets_output(capsys):
     code, out, _ = run_cli(capsys, "dets", "--max", "6")
     assert code == 0
     assert out == "1 -1 -1 1 1 -1\n"
+
+
+def test_dets_guard_rejects_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("elimination ran for a rejected size")
+
+    monkeypatch.setattr(cfseries, "_bareiss", no_work)
+    limit = cfseries.MAX_DET_SIZE
+    for value in ("0", "-3", str(limit + 1)):
+        code, out, err = run_cli(capsys, "dets", "--max", value)
+        assert code == 3, value
+        assert out == ""
+        assert f"[1, {limit}]" in err and "Traceback" not in err
 
 
 def test_unique_check_pass_and_fail(capsys):
