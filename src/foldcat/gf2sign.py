@@ -228,13 +228,6 @@ def signed_product(a: np.ndarray, w: np.ndarray | None,
     return out
 
 
-def _compare(report: VerifyReport, got: np.ndarray,
-             expected: np.ndarray) -> None:
-    diff = np.argwhere(got != expected)
-    for i, j in diff:
-        report.add(int(i), int(j), int(expected[i, j]), int(got[i, j]))
-
-
 def _five_factor(n: int) -> np.ndarray:
     """D_s L D_a L^t D_s, exact."""
     lmat = build_tri(L, n)
@@ -247,7 +240,7 @@ def verify_thm2(n: int) -> VerifyReport:
     """D_s L D_a L^t D_s == Hankel(mu)."""
     _check_size(n, 4096)
     report = VerifyReport("thm2", n)
-    _compare(report, _five_factor(n), hankel_bits(MU_SHIFT0, n))
+    report.compare(_five_factor(n), hankel_bits(MU_SHIFT0, n))
     return report
 
 
@@ -259,10 +252,10 @@ def verify_thm3(n: int) -> VerifyReport:
     mmat = build_tri(M, n)
     sv = sign_diag("s", n)
     av = sign_diag("a", n)
-    _compare(report, signed_product(lmat, av, mmat), np.diag(av))
+    report.compare(signed_product(lmat, av, mmat), np.diag(av))
     # P = D_s D_a M D_a D_s, so P (D_s L D_s) = D_s D_a M D_(a s s) L D_s
     got = (sv * av)[:, None] * signed_product(mmat, av * sv * sv, lmat)
-    _compare(report, got * sv[None, :], np.eye(n, dtype=np.int64))
+    report.compare(got * sv[None, :], np.eye(n, dtype=np.int64))
     return report
 
 
@@ -275,8 +268,8 @@ def verify_prop_mdl(n: int) -> VerifyReport:
     a_strict = build_tri(A_STRICT, n)
     for kind in ("e", "o"):
         mask = sign_diag(kind, n)
-        _compare(report, signed_product(mmat, mask, lmat),
-                 a_strict + np.diag(mask))
+        report.compare(signed_product(mmat, mask, lmat),
+                       a_strict + np.diag(mask))
     return report
 
 
@@ -291,11 +284,11 @@ def verify_prop_ml_lm(n: int) -> VerifyReport:
     av = sign_diag("a", n)
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    _compare(report, signed_product(mmat, None, lmat),
-             np.where(i < j, 0, np.where(i == j, 1, 2)))
+    report.compare(signed_product(mmat, None, lmat),
+                   np.where(i < j, 0, np.where(i == j, 1, 2)))
     steps = max(0, (max(n - 1, 1)).bit_length() - 1)
-    _compare(report, signed_product(lmat, None, mmat),
-             babab_expand(LM_RULE, steps)[:n, :n])
+    report.compare(signed_product(lmat, None, mmat),
+                   babab_expand(LM_RULE, steps)[:n, :n])
     # ML D_a ML D_a == M (L D_a M) L D_a and LM D_a LM D_a == L (M D_a L) M D_a
     # as integer matrices; multiplied out so every right factor is 0/1, and
     # left . inner taken as (inner^t left^t)^t
@@ -303,8 +296,8 @@ def verify_prop_ml_lm(n: int) -> VerifyReport:
     for left, right in ((mmat, lmat), (lmat, mmat)):
         inner = signed_product(right, av, left)
         outer = signed_product(inner.T, None, left.T).T
-        _compare(report, signed_product(outer, None, right) * av[None, :],
-                 ident)
+        report.compare(signed_product(outer, None, right) * av[None, :],
+                       ident)
     return report
 
 
@@ -317,24 +310,24 @@ def verify_thm5(n: int) -> VerifyReport:
     sv = sign_diag("stilde", n)
     tv = sign_diag("ttilde", n)
     core = signed_product(lt, sv, lt.T)
-    _compare(report, tv[:, None] * core * tv[None, :],
-             hankel_bits(MU_SHIFT1, n))
+    report.compare(tv[:, None] * core * tv[None, :],
+                   hankel_bits(MU_SHIFT1, n))
     dstilde = np.diag(sv)
-    _compare(report, signed_product(lt, sv, mt), dstilde)
-    _compare(report, signed_product(mt, sv, lt), dstilde)
+    report.compare(signed_product(lt, sv, mt), dstilde)
+    report.compare(signed_product(mt, sv, lt), dstilde)
     # parity vanishing and interleaving recursions
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     odd_parity = (i - j) % 2 == 1
-    _compare(report, lt * odd_parity, np.zeros_like(lt))
+    report.compare(lt * odd_parity, np.zeros_like(lt))
     h = n // 2
     if h >= 1:
         lmat = build_tri(L, h)
         mmat = build_tri(M, h)
-        _compare(report, lt[0:2 * h:2, 0:2 * h:2], lmat)
-        _compare(report, mt[0:2 * h:2, 0:2 * h:2], mmat)
-        _compare(report, lt[1:2 * h:2, 1:2 * h:2], lt[:h, :h])
-        _compare(report, mt[1:2 * h:2, 1:2 * h:2], mt[:h, :h])
+        report.compare(lt[0:2 * h:2, 0:2 * h:2], lmat)
+        report.compare(mt[0:2 * h:2, 0:2 * h:2], mmat)
+        report.compare(lt[1:2 * h:2, 1:2 * h:2], lt[:h, :h])
+        report.compare(mt[1:2 * h:2, 1:2 * h:2], mt[:h, :h])
     return report
 
 
@@ -349,7 +342,7 @@ def verify_babab(n: int) -> VerifyReport:
     while size <= n:
         for rule, kind in pairs:
             got = babab_expand(rule, steps)
-            _compare(report, got, build_tri(kind, size))
+            report.compare(got, build_tri(kind, size))
         size *= 2
         steps += 1
     return report
@@ -404,5 +397,5 @@ def verify_eps(eps: list[int], n: int) -> VerifyReport:
     report = VerifyReport("eps", n)
     dvec = general_eps_diag(eps, n)
     got = dvec[:, None] * _five_factor(n) * dvec[None, :]
-    _compare(report, got, signed_hankel(eps, n))
+    report.compare(got, signed_hankel(eps, n))
     return report

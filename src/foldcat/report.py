@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Failure:
@@ -16,6 +18,10 @@ class Failure:
     def as_dict(self) -> dict:
         return {"i": self.i, "j": self.j,
                 "expected": str(self.expected), "got": str(self.got)}
+
+
+def _plain(value):
+    return int(value) if isinstance(value, np.generic) else value
 
 
 @dataclass
@@ -31,6 +37,16 @@ class VerifyReport:
 
     def add(self, i: int, j: int, expected, got) -> None:
         self.failures.append(Failure(i, j, expected, got))
+
+    def compare(self, got: np.ndarray, expected: np.ndarray) -> None:
+        """Add a failure for every entry where got differs from expected.
+
+        Failures come in row-major order.  NumPy integer scalars are
+        reported as python ints; the python ints and Fractions of object
+        arrays are reported as they are.
+        """
+        for i, j in np.argwhere(got != expected):
+            self.add(int(i), int(j), _plain(expected[i, j]), _plain(got[i, j]))
 
     def merge(self, other: "VerifyReport") -> None:
         self.failures.extend(other.failures)

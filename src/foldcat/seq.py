@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import SizeGuardError
+from .errors import InvariantError, SizeGuardError
 
 MAX_WORD_LEVEL = 20
 
@@ -82,9 +82,11 @@ def d(n: int) -> int:
         raise ValueError("n must be >= 1")
     num = s(n) - s(n - 2)
     den = s(n - 1)
-    assert den != 0, "s(n-1) vanishes only at n = 0"
+    if den == 0:
+        raise InvariantError("s(n-1) nonzero", n - 1, "nonzero", den)
     q, r = divmod(num, den)
-    assert r == 0, "quotient must be exact"
+    if r:
+        raise InvariantError("remainder of (s(n) - s(n-2)) / s(n-1)", n, 0, r)
     return q
 
 

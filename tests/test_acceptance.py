@@ -132,22 +132,32 @@ def test_09_determinant_identities():
     gate(9, "Hankel determinant sign and mirror identities to 32", 5, check)
 
 
+# Budgets of gates 10 and 11: ten times the summed median time of their
+# calls in BENCH_5.json ("gate_calls": 0.41 s and 0.43 s), rounded up to a
+# whole second.  The benchmark sizes (catalan-lu at 128, exp-products and
+# log-conjecture at 64) run beside the CLI sizes at 48.
 def test_10_catalan_factorizations():
     def check():
-        problems = report_problems(catalanz.verify_catalan_lu(48))
-        problems += report_problems(catalanz.verify_exp_products(48))
+        problems = []
+        for n in (48, 128):
+            problems += report_problems(catalanz.verify_catalan_lu(n))
+        for n in (48, 64):
+            problems += report_problems(catalanz.verify_exp_products(n))
         return problems
-    gate(10, "integer Catalan factorizations and exponentials at 48", 10,
-         check)
+    gate(10, "integer Catalan factorizations at 48 and 128, exponentials at "
+         "48 and 64", 5, check)
 
 
 def test_11_log_stripes_conjecture():
     def check():
-        report = catalanz.check_log_conjecture(48)
-        if not report.conjecture:
-            return ["report not flagged as conjecture"]
-        return report_problems(report)
-    gate(11, "CONJECTURE striped logarithms at 48", 10, check)
+        problems = []
+        for n in (48, 64):
+            report = catalanz.check_log_conjecture(n)
+            if not report.conjecture:
+                return ["report not flagged as conjecture"]
+            problems += report_problems(report)
+        return problems
+    gate(11, "CONJECTURE striped logarithms at 48 and 64", 5, check)
 
 
 def test_12_bitwise_binomials_against_oracles():

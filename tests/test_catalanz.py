@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from foldcat import catalanz, gf2sign, seq
-from foldcat.errors import SizeGuardError
+from foldcat.errors import InvariantError, SizeGuardError
 
 
 def test_catalan_values():
@@ -176,3 +176,228 @@ def test_mod2_reduction_matches_bit_matrices():
         for i in range(n):
             for j in range(n):
                 assert big[i, j] % 2 == bits[i, j], (big_kind, i, j)
+
+
+# ---------------------------------------------------------------------------
+# the term-by-term series that the Paterson-Stockmeyer kernel replaced, kept
+# as oracles: n - 1 full object-array products, one power at a time
+
+def _obj(entry_fn, n):
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = entry_fn(i, j)
+    return out
+
+
+def _all_int(mat):
+    return all(isinstance(v, int) for v in mat.flat)
+
+
+def series_exp(g):
+    n = g.shape[0]
+    if _all_int(g):
+        f = math.factorial(max(n - 1, 1))
+        term = _obj(lambda i, j: f if i == j else 0, n)
+        acc = term.copy()
+        for k in range(1, n):
+            term = (term @ g) // k
+            acc = acc + term
+        return _obj(lambda i, j: Fraction(int(acc[i, j]), f), n)
+    acc = _obj(lambda i, j: Fraction(1 if i == j else 0), n)
+    term = acc.copy()
+    for k in range(1, n):
+        term = (term @ g) * Fraction(1, k)
+        acc = acc + term
+    return acc
+
+
+def series_log(u):
+    n = u.shape[0]
+    ident = _obj(lambda i, j: 1 if i == j else 0, n)
+    nil = u - ident
+    if _all_int(nil):
+        lcm = math.lcm(*range(1, n)) if n > 1 else 1
+        term = ident
+        acc = _obj(lambda i, j: 0, n)
+        for k in range(1, n):
+            term = term @ nil
+            sign = 1 if k % 2 == 1 else -1
+            acc = acc + (sign * (lcm // k)) * term
+        return _obj(lambda i, j: Fraction(int(acc[i, j]), lcm), n)
+    term = ident
+    acc = _obj(lambda i, j: Fraction(0), n)
+    for k in range(1, n):
+        term = term @ nil
+        acc = acc + Fraction(1 if k % 2 == 1 else -1, k) * term
+    return acc
+
+
+def assert_same_fractions(got, want):
+    assert got.shape == want.shape
+    for (i, j), w in np.ndenumerate(want):
+        assert type(got[i, j]) is Fraction, (i, j)
+        assert got[i, j] == w, (i, j, got[i, j], w)
+
+
+def random_fraction_lower(rng, n):
+    mat = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i):
+            mat[i, j] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return mat
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_power_series_matches_series_oracles(n):
+    rng = random.Random(1000 + n)
+    # the first two subdiagonals only: one entry off the first keeps it off
+    # the closed form
+    band = catalanz.subdiag_matrix([rng.randint(-9, 9) for _ in range(n)], n)
+    for i in range(2, n):
+        band[i, i - 2] = rng.randint(-9, 9)
+    for g in (random_strictly_lower(rng, n), random_fraction_lower(rng, n),
+              band):
+        assert_same_fractions(catalanz.nilpotent_exp(g), series_exp(g))
+        u = g + catalanz._identity(n)
+        assert_same_fractions(catalanz.nilpotent_log(u), series_log(u))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 13, 21, 24])
+def test_subdiagonal_closed_form_matches_series_oracle(n):
+    rng = random.Random(2000 + n)
+    pools = ([rng.randint(-9, 9) for _ in range(n)],
+             [rng.choice((0, 1, 3)) for _ in range(n)],
+             [Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+              for _ in range(n)])
+    for values in pools:
+        g = catalanz.subdiag_matrix(values, n)
+        assert_same_fractions(catalanz.nilpotent_exp(g), series_exp(g))
+
+
+def test_kernels_match_series_oracles_on_catalan_products():
+    n = 64
+    for m_kind, l_kind in ((catalanz.MZ, catalanz.LZ),
+                           (catalanz.MTILDEZ, catalanz.LTILDEZ)):
+        prod = (catalanz.build_catalan_matrix(m_kind, n)
+                @ catalanz.build_catalan_matrix(l_kind, n))
+        log = catalanz.nilpotent_log(prod)
+        assert_same_fractions(log, series_log(prod))
+        # the striped log is not first-subdiagonal, so its exp takes the
+        # series path; its entries are integers, which keeps the oracle on
+        # its integer branch
+        log_int = np.array([int(v) for v in log.flat],
+                           dtype=object).reshape(n, n)
+        assert (log_int == log).all()
+        assert_same_fractions(catalanz.nilpotent_exp(log),
+                              series_exp(log_int))
+    for step in (2, 4):
+        g = catalanz.subdiag_matrix([4 * j + step for j in range(n)], n)
+        assert_same_fractions(catalanz.nilpotent_exp(g), series_exp(g))
+
+
+def test_build_matches_entry_formulas_at_every_size():
+    top = catalanz.MAX_MATRIX_SIZE
+    c = lambda a, b: math.comb(a, b) if 0 <= b <= a else 0
+    oracles = {
+        catalanz.LZ: lambda i, j: c(2 * i, i - j) - c(2 * i, i - j - 1),
+        catalanz.LTILDEZ:
+            lambda i, j: c(2 * i + 1, i - j) - c(2 * i + 1, i - j - 1),
+        catalanz.MZ: lambda i, j: c(i + j, 2 * j),
+        catalanz.MTILDEZ: lambda i, j: c(i + j + 1, 2 * j + 1),
+        catalanz.H_CAT: lambda i, j: catalanz.catalan(i + j),
+        catalanz.H_CAT_SHIFT: lambda i, j: catalanz.catalan(i + j + 1),
+    }
+    for kind, entry in oracles.items():
+        # each entry depends on (i, j) only, so every size is a leading block
+        want = _obj(entry, top)
+        for n in range(1, top + 1):
+            mat = catalanz.build_catalan_matrix(kind, n)
+            assert mat.shape == (n, n) and mat.dtype == object
+            assert all(type(v) is int for v in mat.flat), (kind, n)
+            assert (mat == want[:n, :n]).all(), (kind, n)
+
+
+def _failures(report):
+    return [(f.i, f.j, f.expected, f.got) for f in report.failures]
+
+
+def _flip_lz(monkeypatch, i, j):
+    build = catalanz.build_catalan_matrix
+
+    def faulty(kind, n):
+        mat = build(kind, n)
+        if kind == catalanz.LZ:
+            mat[i, j] += 1
+        return mat
+
+    monkeypatch.setattr(catalanz, "build_catalan_matrix", faulty)
+    return build
+
+
+def test_flipped_entry_localised_in_catalan_lu(monkeypatch):
+    # L[5, 2] + 1 adds L[i, 2] to H[i, 5]; L[2, 2] = 1 is the first nonzero
+    # in row-major order, so the first failure is (2, 5): C_7 = 429 vs 430
+    n = 16
+    build = _flip_lz(monkeypatch, 5, 2)
+    report = catalanz.verify_catalan_lu(n)
+    assert _failures(report)[0] == (2, 5, 429, 430)
+    # every failure, in order, as the full products of the flipped factors
+    lmat = build(catalanz.LZ, n)
+    lmat[5, 2] += 1
+    want = catalanz.VerifyReport("catalan-lu", n)
+    want.compare(lmat @ lmat.T, build(catalanz.H_CAT, n))
+    want.compare(lmat @ catalanz._alt_conj(build(catalanz.MZ, n)),
+                 catalanz._identity(n))
+    assert _failures(report) == _failures(want)
+
+
+def test_flipped_entry_localised_in_log_conjecture(monkeypatch):
+    n = 16
+    build = _flip_lz(monkeypatch, 7, 3)
+    report = catalanz.check_log_conjecture(n)
+    lmat = build(catalanz.LZ, n)
+    lmat[7, 3] += 1
+    want = catalanz.VerifyReport("log-conjecture", n)
+    log = series_log(build(catalanz.MZ, n) @ lmat)
+    want.compare(log, catalanz._stripes(n, 2))
+    assert report.failures and _failures(report) == _failures(want)
+    # rows above 7 of M L, and so of its log, are untouched; in row 7 the
+    # flip reaches column 0 through (M L)[7, 3] (M L)[3, 0] in the square
+    first = report.failures[0]
+    assert (first.i, first.j, first.expected) == (7, 0, 2)
+    assert first.got == log[7, 0] != 2
+    assert type(first.got) is Fraction
+
+
+@pytest.mark.parametrize("i, j", [(2, 5), (4, 5)])
+def test_flip_above_the_diagonal_is_refused(monkeypatch, i, j):
+    # the triangle-aware products never read the upper triangle, so a
+    # factor with an entry there is refused instead of passed silently
+    _flip_lz(monkeypatch, i, j)
+    for verifier in (catalanz.verify_catalan_lu, catalanz.verify_exp_products,
+                     catalanz.check_log_conjecture):
+        with pytest.raises(InvariantError, match=rf"\({i}, {j}\)"):
+            verifier(8)
+
+
+@pytest.mark.parametrize("verifier", [catalanz.verify_catalan_lu,
+                                      catalanz.verify_exp_products,
+                                      catalanz.check_log_conjecture])
+def test_verifier_guard_precedes_any_build(monkeypatch, verifier):
+    def no_build(kind, n):
+        raise AssertionError("built a matrix before the size guard")
+
+    monkeypatch.setattr(catalanz, "build_catalan_matrix", no_build)
+    for n in (0, catalanz.MAX_MATRIX_SIZE + 1):
+        with pytest.raises(SizeGuardError, match=r"\[1, 128\]"):
+            verifier(n)
+
+
+def test_exp_log_guard_precedes_any_work():
+    # not triangular either: the size guard must answer first
+    big = np.ones((catalanz.MAX_MATRIX_SIZE + 1,) * 2, dtype=object)
+    for fn in (catalanz.nilpotent_exp, catalanz.nilpotent_log):
+        with pytest.raises(SizeGuardError, match=r"\[0, 128\]"):
+            fn(big)
+        assert fn(np.zeros((0, 0), dtype=object)).shape == (0, 0)

@@ -1,10 +1,15 @@
 """Sign sequences and folding words against brute-force recursions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, strategies as st
 
 from foldcat import seq
-from foldcat.errors import SizeGuardError
+from foldcat.errors import InvariantError, SizeGuardError
 
 
 def test_s_prefix():
@@ -74,6 +79,41 @@ def test_d_three_term_identity():
     for n in range(1, 3000):
         prev2 = seq.s(n - 2) if n >= 2 else 0
         assert seq.s(n) == seq.d(n) * seq.s(n - 1) + prev2
+
+
+def test_d_checks_raise_invariant_error(monkeypatch):
+    values = {3: 1, 2: 0, 1: 2}
+    monkeypatch.setattr(seq, "s", lambda n: values[n])
+    with pytest.raises(InvariantError, match="s\\(n-1\\) nonzero at 2"):
+        seq.d(3)
+    values.update({3: 1, 2: 2, 1: 0})
+    with pytest.raises(InvariantError, match="remainder") as info:
+        seq.d(3)
+    assert (info.value.where, info.value.expected, info.value.got) == (3, 0, 1)
+
+
+def test_d_checks_survive_optimized_mode():
+    # python -O strips assert statements; the checks must still raise
+    script = textwrap.dedent("""
+        import sys
+        from foldcat import seq
+        from foldcat.errors import InvariantError
+        for values in ({3: 1, 2: 0, 1: 2}, {3: 1, 2: 2, 1: 0}):
+            seq.s = values.__getitem__
+            try:
+                seq.d(3)
+            except InvariantError as exc:
+                print(sys.flags.optimize, exc.where, exc.got)
+            else:
+                print(sys.flags.optimize, "no error")
+    """)
+    src = os.path.dirname(os.path.dirname(seq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "2", "0", "1", "3", "1"]
 
 
 def brute_word(k):
