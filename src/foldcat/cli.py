@@ -16,6 +16,9 @@ from .report import VerifyReport
 
 DEFAULT_SIZE = 256
 DEFAULT_ORDER = 512
+# seq --kind s --count 1000000, one of the slowest kinds: 1.5 s and 180 MB
+# peak RSS (the recursions' caches) on a 2-vCPU Xeon (Python 3.11)
+MAX_SEQ_COUNT = 1_000_000
 
 _SEQ_KINDS = {
     "s": (0, seq.s),
@@ -62,6 +65,9 @@ def _emit_values(values: list, fmt: str) -> str:
 
 
 def _cmd_seq(args) -> int:
+    if not 1 <= args.count <= MAX_SEQ_COUNT:
+        raise SizeGuardError(f"count must be in [1, {MAX_SEQ_COUNT}], "
+                             f"got {args.count}")
     start, fn = _SEQ_KINDS[args.kind]
     values = [fn(n) for n in range(start, start + args.count)]
     print(_emit_values(values, args.format))
@@ -142,7 +148,14 @@ def _cmd_unique(args) -> int:
     if (args.check is None) == (args.search is None):
         raise SystemExit(_usage_error("unique needs exactly one of --check/--search"))
     if args.check is not None:
-        c = [int(tok) for tok in args.check.split(",")]
+        c = []
+        for tok in args.check.split(","):
+            try:
+                c.append(int(tok))
+            except ValueError:
+                raise SystemExit(_usage_error(
+                    f"--check takes comma-separated integers, got {tok!r}"
+                )) from None
         result = cfseries.uniqueness_check(c)
         if args.format == "json":
             print(json.dumps({"pass": result.ok, "eps": result.eps,
@@ -213,11 +226,35 @@ def _suite_runners(size: int, order: int,
     }
 
 
+# the --size range of each suite that reads --size is [1, limit], where limit
+# is the suite's own guard, or None where its runner clamps --size first;
+# the other suites ignore --size
+_SUITE_SIZE_LIMITS = {
+    "thm2": None, "thm3": gf2sign.MAX_SIZE, "thm4": None,
+    "thm5": gf2sign.MAX_SIZE, "mdl": gf2sign.MAX_SIZE,
+    "ml-lm": gf2sign.MAX_ML_LM_SIZE, "babab": gf2sign.MAX_BABAB_SIZE,
+    "catalan-lu": None, "exp-products": None, "log-conjecture": None,
+    "eps": None, "dets": None,
+}
+
+
+def _check_suite_sizes(names: list[str], size: int) -> None:
+    for name in names:
+        if name not in _SUITE_SIZE_LIMITS:
+            continue
+        limit = _SUITE_SIZE_LIMITS[name]
+        if size < 1 or (limit is not None and size > limit):
+            allowed = "at least 1" if limit is None else f"in [1, {limit}]"
+            raise SizeGuardError(
+                f"suite {name}: size must be {allowed}, got {size}")
+
+
 def _cmd_verify(args) -> int:
     runners = _suite_runners(args.size, args.order, args.seed)
     if args.suite != "all" and args.suite not in runners:
         raise SystemExit(_usage_error(f"unknown suite {args.suite!r}"))
     names = list(runners) if args.suite == "all" else [args.suite]
+    _check_suite_sizes(names, args.size)
     results = []
     failed = False
     for name in names:

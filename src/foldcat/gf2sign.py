@@ -17,6 +17,11 @@ from .report import VerifyReport
 
 MAX_SIZE = 1 << 14
 MAX_BLOCK_STEPS = 12
+# ml-lm checks LM against one chain of at most 2^(MAX_BLOCK_STEPS + 1), the
+# next power of two at or above its size
+MAX_ML_LM_SIZE = 2 << MAX_BLOCK_STEPS
+# babab checks the chains up to the largest power of two at or below its size
+MAX_BABAB_SIZE = (4 << MAX_BLOCK_STEPS) - 1
 
 # triangular kinds
 L = "L"
@@ -75,28 +80,48 @@ _SEEDS = {
     LM_RULE: [[1, 0], [2, 1]],
 }
 
+# A doubling step maps [[a, 0], [b, a]], with a and b of size h, to a 4 x 4
+# block matrix whose top-left and bottom-right 2 x 2 blocks repeat it and
+# whose top-right ones are zero.  Only the bottom-left 2 x 2 blocks depend on
+# the family: each is (factor, q), factor times a (q = 0) or b (q = 1).
+_L_BLOCKS = (((0, 0), (1, 1)), ((1, 1), (1, 0)))
+_M_BLOCKS = (((1, 0), (1, 1)), ((1, 1), (0, 0)))
+_LOWER_LEFT = {
+    L_RULE: _L_BLOCKS,
+    M_RULE: _M_BLOCKS,
+    LTILDE0_RULE: _L_BLOCKS,
+    MTILDE0_RULE: _M_BLOCKS,
+    LM_RULE: (((2, 0), (1, 1)), ((2, 1), (2, 0))),
+}
+
 
 def babab_expand(rule: str, steps: int) -> np.ndarray:
-    """Iterate the block doubling map; step k yields size 2^(k+1)."""
+    """Iterate the block doubling map; step k yields size 2^(k+1).
+
+    The chain grows in place in one buffer, and each step keeps the previous
+    matrix as its leading block, so the leading 2^(k+1) x 2^(k+1) block of
+    the result is the matrix after step k.  Entries are 0/1, except in LM,
+    where they are 0 or powers of two up to 2^(steps+1); the dtype is the
+    narrowest signed one that holds them.
+    """
     if rule not in _SEEDS:
         raise ValueError(f"unknown rule {rule!r}")
     if not 0 <= steps <= MAX_BLOCK_STEPS:
         raise SizeGuardError(f"steps must be in [0, {MAX_BLOCK_STEPS}]")
-    cur = np.array(_SEEDS[rule], dtype=np.int64)
-    for _ in range(steps):
-        h = cur.shape[0] // 2
-        a, b = cur[:h, :h], cur[h:, :h]
-        z = np.zeros_like(a)
-        if rule in (L_RULE, LTILDE0_RULE):
-            cur = np.block([[a, z, z, z], [b, a, z, z],
-                            [z, b, a, z], [b, a, b, a]])
-        elif rule in (M_RULE, MTILDE0_RULE):
-            cur = np.block([[a, z, z, z], [b, a, z, z],
-                            [a, b, a, z], [b, z, b, a]])
-        else:  # LM_RULE
-            cur = np.block([[a, z, z, z], [b, a, z, z],
-                            [2 * a, b, a, z], [2 * b, 2 * a, b, a]])
-    return cur
+    n = 2 << steps
+    largest = n if rule == LM_RULE else 1
+    out = np.zeros((n, n), dtype=np.min_scalar_type(-largest - 1))
+    out[:2, :2] = _SEEDS[rule]
+    for k in range(1, steps + 1):
+        h, size = 1 << (k - 1), 1 << k
+        new = out[size:2 * size]
+        new[:, size:2 * size] = out[:size, :size]
+        for r, row in enumerate(_LOWER_LEFT[rule]):
+            for c, (factor, q) in enumerate(row):
+                if factor:
+                    np.multiply(out[q * h:(q + 1) * h, :h], factor,
+                                out=new[r * h:(r + 1) * h, c * h:(c + 1) * h])
+    return out
 
 
 def hankel_bits(source: str, n: int) -> np.ndarray:
@@ -275,9 +300,7 @@ def verify_prop_mdl(n: int) -> VerifyReport:
 
 def verify_prop_ml_lm(n: int) -> VerifyReport:
     """ML entry pattern 0/1/2, LM block recursion, and both inverses."""
-    # the LM chain is checked against babab_expand, which stops at
-    # MAX_BLOCK_STEPS doublings
-    _check_size(n, 2 << MAX_BLOCK_STEPS)
+    _check_size(n, MAX_ML_LM_SIZE)
     report = VerifyReport("ml-lm", n)
     lmat = build_tri(L, n)
     mmat = build_tri(M, n)
@@ -331,20 +354,33 @@ def verify_thm5(n: int) -> VerifyReport:
     return report
 
 
+_CHAINS = ((L_RULE, L), (M_RULE, M), (LTILDE0_RULE, LTILDE0),
+           (MTILDE0_RULE, MTILDE0))
+
+
 def verify_babab(n: int) -> VerifyReport:
-    """Every block-recursion chain equals its formula-built matrix."""
-    _check_size(n)
+    """Every block-recursion chain equals its formula-built matrix.
+
+    Each chain is grown once, to the largest power of two top <= n, and each
+    formula matrix is built once, at top; the level of size 2, 4, ..., top
+    compares their leading size x size blocks.
+    """
+    _check_size(n, MAX_BABAB_SIZE)
     report = VerifyReport("babab", n)
-    pairs = [(L_RULE, L), (M_RULE, M), (LTILDE0_RULE, LTILDE0),
-             (MTILDE0_RULE, MTILDE0)]
+    if n < 2:
+        return report
+    top = 1 << (n.bit_length() - 1)
+    steps = top.bit_length() - 2
+    # formula matrices first: the int64 temporaries of build_tri set the
+    # peak memory, so they should not stack on top of the chains
+    wants = [build_tri(kind, top) for _, kind in _CHAINS]
+    chains = [(babab_expand(rule, steps), want)
+              for (rule, _), want in zip(_CHAINS, wants)]
     size = 2
-    steps = 0
-    while size <= n:
-        for rule, kind in pairs:
-            got = babab_expand(rule, steps)
-            report.compare(got, build_tri(kind, size))
+    while size <= top:
+        for got, want in chains:
+            report.compare(got[:size, :size], want[:size, :size])
         size *= 2
-        steps += 1
     return report
 
 

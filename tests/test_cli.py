@@ -92,6 +92,34 @@ def test_cf_example_output(capsys):
     assert [k for k, c in enumerate(coeffs) if c] == [1, 2, 4, 8, 16]
 
 
+def test_cf_order_guard(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the fraction ran for a rejected order")
+
+    monkeypatch.setattr(cfseries, "cf_limit", no_work)
+    limit = cfseries.MAX_CF_ORDER
+    for value in ("0", "-1", str(limit + 1)):
+        code, out, err = run_cli(capsys, "cf", "--example", "1",
+                                 "--order", value)
+        assert code == 3, value
+        assert out == ""
+        assert f"[1, {limit}]" in err and "Traceback" not in err
+
+
+def test_seq_count_guard(capsys, monkeypatch):
+    def no_work(n):
+        raise AssertionError("the sequence ran for a rejected count")
+
+    monkeypatch.setitem(cli._SEQ_KINDS, "s", (0, no_work))
+    limit = cli.MAX_SEQ_COUNT
+    for value in ("0", "-1", str(limit + 1)):
+        code, out, err = run_cli(capsys, "seq", "--kind", "s",
+                                 "--count", value)
+        assert code == 3, value
+        assert out == ""
+        assert f"[1, {limit}]" in err and "Traceback" not in err
+
+
 def test_jacobi_output(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "jacobi",
                            "--depth", "6")
@@ -151,6 +179,37 @@ def test_unique_requires_exactly_one_mode(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "unique", "--check", "1,1", "--search", "4")
     assert code == 2
+
+
+def test_unique_check_bad_token_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "unique", "--check", "1,abc,0")
+    assert code == 2
+    assert out == ""
+    assert "'abc'" in err and "Traceback" not in err
+
+
+def test_verify_checks_every_suite_size_before_running(capsys, monkeypatch):
+    real = cli._suite_runners
+
+    def no_runs(size, order, seed):
+        def boom():
+            raise AssertionError("a suite ran before the size checks")
+        return {name: boom for name in real(size, order, seed)}
+
+    monkeypatch.setattr(cli, "_suite_runners", no_runs)
+    cases = [
+        (["all", "0"], "suite thm2: size must be at least 1"),
+        (["all", "9000"], "suite ml-lm: size must be in [1, 8192]"),
+        (["babab", "16384"], "suite babab: size must be in [1, 16383]"),
+        (["thm3", "16385"], "suite thm3: size must be in [1, 16384]"),
+        (["dets", "-2"], "suite dets: size must be at least 1"),
+    ]
+    for (suite, size), message in cases:
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--size", size)
+        assert code == 3, (suite, size)
+        assert out == ""
+        assert message in err and "Traceback" not in err
 
 
 def test_verify_single_suite_json_schema(capsys):

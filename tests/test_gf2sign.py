@@ -1,5 +1,6 @@
 """0/1 triangular matrices, sign diagonals, Hankel factorizations."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from foldcat import gf2sign, seq
 from foldcat.errors import SizeGuardError
+from foldcat.report import VerifyReport
 
 # the 8x8 lower-triangular matrix with entries C(2i+1, i-j) mod 2
 L8 = [
@@ -234,6 +236,186 @@ def test_ml_lm_guard_precedes_products(monkeypatch):
     monkeypatch.setattr(gf2sign, "build_tri", no_build)
     with pytest.raises(SizeGuardError, match="8192"):
         gf2sign.verify_prop_ml_lm(8193)
+
+
+def test_babab_guard_names_real_limit_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("built a matrix before the size guard")
+
+    monkeypatch.setattr(gf2sign, "babab_expand", no_work)
+    monkeypatch.setattr(gf2sign, "build_tri", no_work)
+    limit = gf2sign.MAX_BABAB_SIZE
+    assert limit == (4 << gf2sign.MAX_BLOCK_STEPS) - 1
+    for n in (0, limit + 1, gf2sign.MAX_SIZE):
+        with pytest.raises(SizeGuardError, match=rf"\[1, {limit}\]"):
+            gf2sign.verify_babab(n)
+
+
+def test_babab_largest_size_needs_only_admitted_steps(monkeypatch):
+    # the largest admitted size asks for MAX_BLOCK_STEPS doublings and builds
+    # the formula matrices at the top level alone; stubs stand in for the
+    # 8192 x 8192 matrices
+    built, grown = [], []
+    monkeypatch.setattr(gf2sign, "build_tri",
+                        lambda kind, n: built.append((kind, n)))
+
+    def expand(rule, steps):
+        grown.append((rule, steps))
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(gf2sign, "babab_expand", expand)
+    with pytest.raises(RuntimeError, match="stop"):
+        gf2sign.verify_babab(gf2sign.MAX_BABAB_SIZE)
+    assert [n for _, n in built] == [8192] * 4
+    assert grown == [(gf2sign.L_RULE, gf2sign.MAX_BLOCK_STEPS)]
+
+
+# The block-doubling chain and the per-level verifier as they were before the
+# chains grew in one buffer: every np.block step in int64, every level
+# rebuilt from the seed.  Kept as the reference the new code must match.
+@functools.lru_cache(maxsize=None)
+def block_oracle_expand(rule, steps):
+    cur = np.array(gf2sign._SEEDS[rule], dtype=np.int64)
+    for _ in range(steps):
+        h = cur.shape[0] // 2
+        a, b = cur[:h, :h], cur[h:, :h]
+        z = np.zeros_like(a)
+        if rule in (gf2sign.L_RULE, gf2sign.LTILDE0_RULE):
+            cur = np.block([[a, z, z, z], [b, a, z, z],
+                            [z, b, a, z], [b, a, b, a]])
+        elif rule in (gf2sign.M_RULE, gf2sign.MTILDE0_RULE):
+            cur = np.block([[a, z, z, z], [b, a, z, z],
+                            [a, b, a, z], [b, z, b, a]])
+        else:
+            cur = np.block([[a, z, z, z], [b, a, z, z],
+                            [2 * a, b, a, z], [2 * b, 2 * a, b, a]])
+    return cur
+
+
+def per_level_oracle_babab(n):
+    report = VerifyReport("babab", n)
+    size, steps = 2, 0
+    while size <= n:
+        for rule, kind in gf2sign._CHAINS:
+            report.compare(block_oracle_expand(rule, steps),
+                           gf2sign.build_tri(kind, size))
+        size *= 2
+        steps += 1
+    return report
+
+
+ALL_RULES = (gf2sign.L_RULE, gf2sign.M_RULE, gf2sign.LTILDE0_RULE,
+             gf2sign.MTILDE0_RULE, gf2sign.LM_RULE)
+
+
+def test_babab_expand_matches_block_oracle():
+    for rule in ALL_RULES:
+        for steps in range(10):
+            got = gf2sign.babab_expand(rule, steps)
+            want = block_oracle_expand(rule, steps)
+            assert got.shape == want.shape and (got == want).all(), \
+                (rule, steps)
+            # LM holds 2^(steps+1), which needs int16 from steps = 6 on
+            wide = rule == gf2sign.LM_RULE and steps >= 6
+            assert got.dtype == (np.int16 if wide else np.int8)
+
+
+def flip_entries(entries, sizes):
+    """A build_tri that flips entries[kind] of each given kind in the
+    builds of the given sizes (None: every size)."""
+    build = gf2sign.build_tri
+
+    def faulty(kind, n):
+        mat = build(kind, n)
+        if kind in entries and max(entries[kind]) < n and \
+                (sizes is None or n in sizes):
+            mat[entries[kind]] ^= 1
+        return mat
+    return faulty
+
+
+def shared_products(monkeypatch):
+    """Memoize signed_product, so that a second run of ml-lm on the same
+    operands skips the products; returns the memo, to clear per size."""
+    product = gf2sign.signed_product
+    memo = {}
+
+    def key(x):
+        return None if x is None else (x.dtype.str, x.shape, x.tobytes())
+
+    def memoized(a, w, b):
+        k = (key(a), key(w), key(b))
+        if k not in memo:
+            memo[k] = product(a, w, b)
+        return memo[k]
+
+    monkeypatch.setattr(gf2sign, "signed_product", memoized)
+    return memo
+
+
+FLIPS = {
+    "none": ({}, None),
+    "every size": ({gf2sign.L: (5, 2)}, None),
+    "size 8": ({gf2sign.L: (5, 2)}, {8}),
+    # failures in two chains show the order of levels and rules
+    "L and M, every size": ({gf2sign.L: (5, 2), gf2sign.M: (6, 3)}, None),
+}
+
+
+@pytest.mark.parametrize("flip", FLIPS)
+def test_babab_reports_match_oracle(monkeypatch, flip):
+    monkeypatch.setattr(gf2sign, "build_tri", flip_entries(*FLIPS[flip]))
+    for n in range(1, 301):
+        want = per_level_oracle_babab(n).as_dict()
+        got = gf2sign.verify_babab(n).as_dict()
+        if flip == "size 8" and n >= 16:
+            # the chains are compared with formula matrices built at the top
+            # level alone, so a build that disagrees with itself at size 8
+            # is seen only while the top level is 8
+            assert got == VerifyReport("babab", n).as_dict()
+            assert [(f["i"], f["j"]) for f in want["failures"]] == [(5, 2)]
+        else:
+            assert got == want, n
+    if flip == "every size":  # one failure at each level 8, 16, 32, 64
+        failures = gf2sign.verify_babab(64).failures
+        assert [(f.i, f.j, f.expected, f.got) for f in failures] == \
+            [(5, 2, 0, 1)] * 4
+
+
+# every size in the clean case; under a flip, every size to 64 and the
+# sizes around the larger powers of two
+@pytest.mark.parametrize("flip, sizes", [
+    ("none", range(1, 301)),
+    ("every size", [*range(1, 65), 100, 127, 128, 129, 255, 256, 257, 300]),
+    ("size 8", range(1, 17)),
+])
+def test_ml_lm_reports_match_oracle(monkeypatch, flip, sizes):
+    monkeypatch.setattr(gf2sign, "build_tri", flip_entries(*FLIPS[flip]))
+    memo = shared_products(monkeypatch)
+    expand = gf2sign.babab_expand
+    for n in sizes:
+        got = gf2sign.verify_prop_ml_lm(n).as_dict()
+        monkeypatch.setattr(gf2sign, "babab_expand", block_oracle_expand)
+        assert got == gf2sign.verify_prop_ml_lm(n).as_dict(), n
+        monkeypatch.setattr(gf2sign, "babab_expand", expand)
+        memo.clear()
+
+
+@pytest.mark.parametrize("rule", ALL_RULES)
+def test_swapped_layout_quadrant_is_caught(monkeypatch, rule):
+    # the four blocks that the layout table sets, swapped in pairs
+    (b00, b01), (b10, b11) = gf2sign._LOWER_LEFT[rule]
+    for mutated in (((b01, b00), (b10, b11)), ((b00, b01), (b11, b10)),
+                    ((b10, b01), (b00, b11))):
+        if mutated == gf2sign._LOWER_LEFT[rule]:
+            continue
+        monkeypatch.setitem(gf2sign._LOWER_LEFT, rule, mutated)
+        assert not (gf2sign.babab_expand(rule, 3)
+                    == block_oracle_expand(rule, 3)).all(), mutated
+        if rule == gf2sign.LM_RULE:
+            assert not gf2sign.verify_prop_ml_lm(16).ok
+        else:
+            assert not gf2sign.verify_babab(16).ok
 
 
 def test_lm_block_recursion_matches_product():
