@@ -20,9 +20,15 @@ def binom_mod2(n: int, k: int) -> int:
 
 
 def binom_mod2_grid(n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Vectorized binom_mod2 on integer arrays (broadcasting allowed)."""
-    n = np.asarray(n, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
+    """Vectorized binom_mod2 on integer arrays (broadcasting allowed).
+
+    Signed integer arrays keep their dtype, so that narrow index grids
+    stay narrow; anything else is taken as int64.
+    """
+    n = np.asarray(n)
+    k = np.asarray(k)
+    if n.dtype.kind != "i" or k.dtype.kind != "i":
+        n, k = n.astype(np.int64), k.astype(np.int64)
     valid = (k >= 0) & (k <= n)
     return (valid & ((n & k) == k)).astype(np.int8)
 

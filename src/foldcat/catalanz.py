@@ -339,4 +339,5 @@ def catalan_gf_mod2(order: int) -> list[int]:
         if nxt == c:
             break
         c = nxt
-    return [(c >> k) & 1 for k in range(order)]
+    # bit k of c is character k of its binary string read from the end
+    return list(map(int, bin(c)[:1:-1].ljust(order, "0")))

@@ -753,7 +753,11 @@ def uniqueness_search(length: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # bundled verifications used by the CLI
 
-def verify_thm1(orders: tuple[int, int, int] = (600, 250, 750)) -> VerifyReport:
+# the orders to which verify_thm1 checks examples 1, 2 and 3
+THM1_ORDERS = (600, 250, 750)
+
+
+def verify_thm1(orders: tuple[int, int, int] = THM1_ORDERS) -> VerifyReport:
     """Examples 1-3: the folded fraction reproduces its sparse series."""
     report = VerifyReport("thm1", max(orders))
     targets = [

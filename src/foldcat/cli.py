@@ -15,7 +15,6 @@ from .errors import (NoConvergenceError, NonUnitError, SingularMinorError,
 from .report import VerifyReport
 
 DEFAULT_SIZE = 256
-DEFAULT_ORDER = 512
 # seq --kind s --count 1000000, one of the slowest kinds: 1.5 s and 180 MB
 # peak RSS (the recursions' caches) on a 2-vCPU Xeon (Python 3.11)
 MAX_SEQ_COUNT = 1_000_000
@@ -180,7 +179,7 @@ def _random_eps(rng: random.Random, n: int) -> list[int]:
     return [1] + [rng.choice((-1, 1)) for _ in range(length - 1)]
 
 
-def _suite_runners(size: int, order: int,
+def _suite_runners(size: int,
                    seed: int) -> dict[str, Callable[[], VerifyReport]]:
     rng = random.Random(seed)
 
@@ -250,7 +249,7 @@ def _check_suite_sizes(names: list[str], size: int) -> None:
 
 
 def _cmd_verify(args) -> int:
-    runners = _suite_runners(args.size, args.order, args.seed)
+    runners = _suite_runners(args.size, args.seed)
     if args.suite != "all" and args.suite not in runners:
         raise SystemExit(_usage_error(f"unknown suite {args.suite!r}"))
     names = list(runners) if args.suite == "all" else [args.suite]
@@ -263,8 +262,8 @@ def _cmd_verify(args) -> int:
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
         entry = report.as_dict()
         entry["elapsed_ms"] = elapsed_ms
-        if args.order != DEFAULT_ORDER or name == "thm1":
-            entry["order"] = args.order
+        if name == "thm1":
+            entry["orders"] = list(cfseries.THM1_ORDERS)
         results.append(entry)
         if not report.ok and (args.strict or not report.conjecture):
             failed = True
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", required=True)
     p.add_argument("--size", type=int, default=DEFAULT_SIZE)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=_cmd_verify)

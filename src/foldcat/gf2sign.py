@@ -3,7 +3,8 @@
 Builds L, M, their shifted variants, the strictly-lower shifts, the sign
 diagonals, and the 0/1 Hankel matrices, and checks the factorization and
 inverse identities between them with exact integer arithmetic.
-All matrices are dense numpy int arrays, 0-indexed.
+Matrices are numpy int arrays, 0-indexed; the product verifiers hold their
+operands as packed bits and check their products one row block at a time.
 """
 
 from __future__ import annotations
@@ -49,11 +50,28 @@ def _check_size(n: int, limit: int = MAX_SIZE) -> None:
         raise SizeGuardError(f"size must be in [1, {limit}], got {n}")
 
 
-def build_tri(kind: str, n: int) -> np.ndarray:
-    """Triangular matrix of the given kind at size n, entries in {0,1}."""
-    _check_size(n)
-    i = np.arange(n, dtype=np.int64)[:, None]
-    j = np.arange(n, dtype=np.int64)[None, :]
+# entries of one row block: the block of a matrix built at a time, and the
+# (row block x columns) scratch arrays of the product kernel
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """(start, stop) of the row blocks of an n_rows x n_cols array."""
+    step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield start, min(start + step, n_rows)
+
+
+def _tri_block(kind: str, n: int, start: int, stop: int,
+               transpose: bool = False) -> np.ndarray:
+    """Rows start..stop of the n x n matrix of the given kind, or of its
+    transpose, as int8: the one formula per kind."""
+    # int32 holds 2n + 2 for every admitted n, at half the traffic of int64
+    rows = np.arange(start, stop, dtype=np.int32)[:, None]
+    cols = np.arange(n, dtype=np.int32)[None, :]
+    i, j = (cols, rows) if transpose else (rows, cols)
+    if kind in (LTILDE0, MTILDE0):  # row i is row i - 1 of the unshifted
+        kind, i = (LTILDE if kind == LTILDE0 else MTILDE), i - 1
     if kind == L:
         return binom_mod2_grid(2 * i + 1, i - j)
     if kind == M:
@@ -62,14 +80,18 @@ def build_tri(kind: str, n: int) -> np.ndarray:
         return binom_mod2_grid(2 * i + 2, i - j)
     if kind == MTILDE:
         return binom_mod2_grid(i + j + 1, 2 * j + 1)
-    if kind in (LTILDE0, MTILDE0):
-        base = build_tri(LTILDE if kind == LTILDE0 else MTILDE, n)
-        out = np.zeros_like(base)
-        out[1:] = base[:-1]
-        return out
     if kind == A_STRICT:
         return (i > j).astype(np.int8)
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def build_tri(kind: str, n: int) -> np.ndarray:
+    """Triangular matrix of the given kind at size n, entries in {0,1}."""
+    _check_size(n)
+    out = np.empty((n, n), dtype=np.int8)
+    for start, stop in _row_blocks(n, n):
+        out[start:stop] = _tri_block(kind, n, start, stop)
+    return out
 
 
 _SEEDS = {
@@ -124,13 +146,16 @@ def babab_expand(rule: str, steps: int) -> np.ndarray:
     return out
 
 
-def hankel_bits(source: str, n: int) -> np.ndarray:
-    """Hankel matrix of mu (shift 0) or of its shift by one."""
+def hankel_bits(source: str, n: int, start: int = 0,
+                stop: int | None = None) -> np.ndarray:
+    """Rows start..stop (all by default) of the n x n Hankel matrix of mu
+    (shift 0) or of its shift by one."""
     _check_size(n)
     shift = {MU_SHIFT0: 0, MU_SHIFT1: 1}[source]
-    m = np.arange(shift, 2 * n - 1 + shift, dtype=np.int64)
+    stop = n if stop is None else stop
+    m = np.arange(start + shift, stop + n - 1 + shift, dtype=np.int64)
     vals = (((m + 1) & m) == 0).astype(np.int8)  # mu(m): m + 1 a power of two
-    i = np.arange(n)[:, None]
+    i = np.arange(stop - start)[:, None]
     j = np.arange(n)[None, :]
     return vals[i + j]
 
@@ -154,10 +179,6 @@ def sign_diag(kind: str, n: int) -> np.ndarray:
     if kind == "ttilde":
         return np.array([seq.t_tilde(k) for k in range(n)], dtype=np.int64)
     raise ValueError(f"unknown sign kind {kind!r}")
-
-
-# entries of the (row block x columns) scratch arrays in signed_product
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -186,29 +207,72 @@ def _planes(a: np.ndarray):
             yield sign << p, plane if side is None else plane & side
 
 
-def _accumulate(out: np.ndarray, passes: list, cols: np.ndarray) -> None:
-    """out[i, j] += weight * popcount(rows[:, i] & cols[:, j]) for every
-    (weight, rows) pass, where rows and cols are word-major packed bit
-    vectors; done over row blocks to bound the scratch arrays."""
-    words, n_j = cols.shape
-    n_i = out.shape[0]
-    step = max(1, min(n_i, _BLOCK_ENTRIES // max(n_j, 1)))
-    both = np.empty((step, n_j), dtype=np.uint64)
-    count = np.empty((step, n_j), dtype=np.uint8)
+def _spans(cols: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) per word of cols: columns lo..hi hold all of its nonzero
+    entries (lo == hi when there are none)."""
+    spans = []
+    for word in cols:
+        nonzero = np.flatnonzero(word)
+        spans.append((int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size
+                     else (0, 0))
+    return spans
+
+
+def _accumulate(passes: list, n_rows: int, n_cols: int):
+    """Yield (start, block) for the row blocks, in order, of the int64
+    n_rows x n_cols matrix whose (i, j) entry is the sum over the
+    (weight, rows, cols) passes of weight * popcount(rows[:, i] & cols[:, j]),
+    where rows and cols are word-major packed bit vectors.
+
+    Word w of a pass is ANDed only over the span of columns where
+    cols[w] is nonzero: j < 64 (w + 1) for a lower-triangular right operand.
+    """
+    spans = {id(cols): _spans(cols) for _, _, cols in passes}
+    blocks = list(_row_blocks(n_rows, n_cols))
+    if not blocks:
+        return
+    step = blocks[0][1]
+    both = np.empty(step * n_cols, dtype=np.uint64)
+    count = np.empty(step * n_cols, dtype=np.uint8)
     # a sum of popcounts is at most the inner dimension
-    total = np.empty((step, n_j), dtype=np.min_scalar_type(words * 64))
-    for i in range(0, n_i, step):
-        m = min(step, n_i - i)
-        for weight, rows in passes:
+    words = passes[0][1].shape[0] if passes else 0
+    total = np.empty((step, n_cols), dtype=np.min_scalar_type(words * 64))
+    for start, stop in blocks:
+        m = stop - start
+        out = np.zeros((m, n_cols), dtype=np.int64)
+        for weight, rows, cols in passes:
+            span = spans[id(cols)]
+            block = rows[:, start:stop]
             total[:m] = 0
             # words that are zero in every row of the block add nothing:
             # about half of them for a triangular operand, nearly all for a
             # diagonal one
-            for w in np.flatnonzero(rows[:, i:i + m].any(axis=1)):
-                np.bitwise_and(rows[w, i:i + m, None], cols[w], out=both[:m])
-                np.bitwise_count(both[:m], out=count[:m])
-                np.add(total[:m], count[:m], out=total[:m])
-            out[i:i + m] += np.int64(weight) * total[:m]
+            for w in np.flatnonzero(block.any(axis=1)):
+                lo, hi = span[w]
+                if lo == hi:
+                    continue
+                size = m * (hi - lo)
+                anded = both[:size].reshape(m, hi - lo)
+                counted = count[:size].reshape(m, hi - lo)
+                np.bitwise_and(block[w, :, None], cols[w, lo:hi], out=anded)
+                np.bitwise_count(anded, out=counted)
+                part = total[:m, lo:hi]
+                np.add(part, counted, out=part)
+            out += np.int64(weight) * total[:m]
+        yield start, out
+
+
+def _weighted(planes, w: np.ndarray | None, cols: np.ndarray) -> list:
+    """The passes of (sum of weight * plane) . diag(w) . b, from the packed
+    (weight, plane rows) pairs and the packed columns of b: each plane ANDed
+    with the packed masks of w > 0 and w < 0 (w None: all ones)."""
+    if w is None:
+        return [(weight, rows, cols) for weight, rows in planes]
+    # shape (words, 1): one mask word broadcast over all rows
+    masks = [(sign, _pack(side[None, :])) for sign, side
+             in ((1, w > 0), (-1, w < 0)) if side.any()]
+    return [(weight * sign, rows & mask, cols) for weight, rows in planes
+            for sign, mask in masks]
 
 
 def signed_product(a: np.ndarray, w: np.ndarray | None,
@@ -230,127 +294,203 @@ def signed_product(a: np.ndarray, w: np.ndarray | None,
     bits = b.astype(np.bool_)
     if (bits != b).any():
         raise ValueError("the right operand must be a 0/1 matrix")
-    cols = _pack(bits.T)
-    if w is None:
-        masks = [(1, None)]
-    else:
+    if w is not None:
         w = np.asarray(w)
         if w.shape != (a.shape[1],) or w.dtype.kind not in "biu":
             raise ValueError(f"weights must be an integer vector of length "
                              f"{a.shape[1]}")
         if w.min(initial=0) < -1 or w.max(initial=0) > 1:
             raise ValueError("weights must lie in {-1, 0, 1}")
-        # shape (words, 1): one mask word broadcast over all rows
-        masks = [(sign, _pack(side[None, :])) for sign, side
-                 in ((1, w > 0), (-1, w < 0)) if side.any()]
-    passes = []
-    for weight, plane in _planes(a):
-        rows = _pack(plane)
-        passes += [(weight * sign, rows if mask is None else rows & mask)
-                   for sign, mask in masks]
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    _accumulate(out, passes, cols)
+    planes = ((weight, _pack(plane)) for weight, plane in _planes(a))
+    passes = _weighted(planes, w, _pack(bits.T))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    for start, block in _accumulate(passes, a.shape[0], b.shape[1]):
+        out[start:start + len(block)] = block
     return out
 
 
-def _five_factor(n: int) -> np.ndarray:
-    """D_s L D_a L^t D_s, exact."""
-    lmat = build_tri(L, n)
+# The verifiers below stream: each product is made one row block at a time
+# and compared with an expected block made for those rows alone.  Operands
+# are packed straight from the formulas, and an integer product that feeds a
+# further product is kept as packed bit planes, so that no n x n int64 array
+# exists.
+
+
+def _packed(kind: str, n: int, transpose: bool = False) -> np.ndarray:
+    """The rows of the n x n matrix of the given kind (its columns with
+    transpose), packed word-major, shape (words, n); built in row blocks."""
+    out = np.empty((-(-n // 64), n), dtype=np.uint64)
+    for start, stop in _row_blocks(n, n):
+        out[:, start:stop] = _pack(_tri_block(kind, n, start, stop,
+                                              transpose))
+    return out
+
+
+def _product(rows: np.ndarray, w: np.ndarray | None, cols: np.ndarray,
+             n: int):
+    """Row blocks of the n x n product a . diag(w) . b of 0/1 matrices,
+    from the packed rows of a and the packed columns of b."""
+    return _accumulate(_weighted([(1, rows)], w, cols), n, n)
+
+
+def _packed_planes(blocks, n: int) -> dict:
+    """{weight: packed rows} of the 0/1 planes of the n x n integer matrix
+    streamed as row blocks, which is the sum of weight * plane."""
+    planes = {}
+    for start, block in blocks:
+        for weight, plane in _planes(block):
+            if weight not in planes:
+                planes[weight] = np.zeros((-(-n // 64), n), dtype=np.uint64)
+            planes[weight][:, start:start + len(block)] = _pack(plane)
+    return planes
+
+
+def _diag_rows(v: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop of diag(v), as int64."""
+    out = np.zeros((stop - start, len(v)), dtype=np.int64)
+    k = np.arange(stop - start)
+    out[k, start + k] = v[start:stop]
+    return out
+
+
+def _five_factor_rows(n: int):
+    """Row blocks of D_s L D_a L^t D_s, exact."""
+    lrows = _packed(L, n)  # also the columns of L^t
     sv = sign_diag("s", n)
-    core = signed_product(lmat, sign_diag("a", n), lmat.T)
-    return sv[:, None] * core * sv[None, :]
+    for start, core in _product(lrows, sign_diag("a", n), lrows, n):
+        yield start, sv[start:start + len(core), None] * core * sv[None, :]
 
 
 def verify_thm2(n: int) -> VerifyReport:
-    """D_s L D_a L^t D_s == Hankel(mu)."""
+    """D_s L D_a L^t D_s == Hankel(mu).
+
+    At the limit, 4096: 0.8-0.9 s and 40 MB child peak RSS through the CLI
+    on a 2-vCPU Xeon, like the budgets below.
+    """
     _check_size(n, 4096)
     report = VerifyReport("thm2", n)
-    report.compare(_five_factor(n), hankel_bits(MU_SHIFT0, n))
+    for start, got in _five_factor_rows(n):
+        report.compare(got, hankel_bits(MU_SHIFT0, n, start,
+                                        start + len(got)), start)
     return report
 
 
 def verify_thm3(n: int) -> VerifyReport:
-    """L D_a M == D_a, and the signed inverse P (D_s L D_s) == identity."""
+    """L D_a M == D_a, and the signed inverse P (D_s L D_s) == identity.
+
+    At the limit, MAX_SIZE = 16384: 29 s and 161 MB.
+    """
     _check_size(n)
     report = VerifyReport("thm3", n)
-    lmat = build_tri(L, n)
-    mmat = build_tri(M, n)
     sv = sign_diag("s", n)
     av = sign_diag("a", n)
-    report.compare(signed_product(lmat, av, mmat), np.diag(av))
+    for start, got in _product(_packed(L, n), av, _packed(M, n, True), n):
+        report.compare(got, _diag_rows(av, start, start + len(got)), start)
     # P = D_s D_a M D_a D_s, so P (D_s L D_s) = D_s D_a M D_(a s s) L D_s
-    got = (sv * av)[:, None] * signed_product(mmat, av * sv * sv, lmat)
-    report.compare(got * sv[None, :], np.eye(n, dtype=np.int64))
+    ones = np.ones(n, dtype=np.int64)
+    for start, prod in _product(_packed(M, n), av * sv * sv,
+                                _packed(L, n, True), n):
+        stop = start + len(prod)
+        got = (sv * av)[start:stop, None] * prod * sv[None, :]
+        report.compare(got, _diag_rows(ones, start, stop), start)
     return report
 
 
 def verify_prop_mdl(n: int) -> VerifyReport:
-    """M D_e L == A + D_e and M D_o L == A + D_o."""
+    """M D_e L == A + D_e and M D_o L == A + D_o.
+
+    At the limit, MAX_SIZE = 16384: 16 s and 131 MB.
+    """
     _check_size(n)
     report = VerifyReport("mdl", n)
-    lmat = build_tri(L, n)
-    mmat = build_tri(M, n)
-    a_strict = build_tri(A_STRICT, n)
+    mrows, lcols = _packed(M, n), _packed(L, n, True)
     for kind in ("e", "o"):
         mask = sign_diag(kind, n)
-        report.compare(signed_product(mmat, mask, lmat),
-                       a_strict + np.diag(mask))
+        for start, got in _product(mrows, mask, lcols, n):
+            stop = start + len(got)
+            want = _tri_block(A_STRICT, n, start, stop) \
+                + _diag_rows(mask, start, stop)
+            report.compare(got, want, start)
     return report
 
 
 def verify_prop_ml_lm(n: int) -> VerifyReport:
-    """ML entry pattern 0/1/2, LM block recursion, and both inverses."""
+    """ML entry pattern 0/1/2, LM block recursion, and both inverses.
+
+    At the limit, MAX_ML_LM_SIZE = 8192: 17 s and 192 MB, of which the int16
+    LM chain is 128 MB.
+    """
     _check_size(n, MAX_ML_LM_SIZE)
     report = VerifyReport("ml-lm", n)
-    lmat = build_tri(L, n)
-    mmat = build_tri(M, n)
+    lmat = _packed(L, n), _packed(L, n, True)  # (rows, columns)
+    mmat = _packed(M, n), _packed(M, n, True)
     av = sign_diag("a", n)
-    i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    report.compare(signed_product(mmat, None, lmat),
-                   np.where(i < j, 0, np.where(i == j, 1, 2)))
+    for start, got in _product(mmat[0], None, lmat[1], n):
+        i = np.arange(start, start + len(got))[:, None]
+        report.compare(got, np.where(i < j, 0, np.where(i == j, 1, 2)),
+                       start)
     steps = max(0, (max(n - 1, 1)).bit_length() - 1)
-    report.compare(signed_product(lmat, None, mmat),
-                   babab_expand(LM_RULE, steps)[:n, :n])
+    chain = babab_expand(LM_RULE, steps)
+    for start, got in _product(lmat[0], None, mmat[1], n):
+        report.compare(got, chain[start:start + len(got), :n], start)
+    del chain
     # ML D_a ML D_a == M (L D_a M) L D_a and LM D_a LM D_a == L (M D_a L) M D_a
-    # as integer matrices; multiplied out so every right factor is 0/1, and
-    # left . inner taken as (inner^t left^t)^t
-    ident = np.eye(n, dtype=np.int64)
-    for left, right in ((mmat, lmat), (lmat, mmat)):
-        inner = signed_product(right, av, left)
-        outer = signed_product(inner.T, None, left.T).T
-        report.compare(signed_product(outer, None, right) * av[None, :],
-                       ident)
+    # as integer matrices, multiplied out left . inner . right D_a; the rows
+    # of inner^t = left^t D_a right^t are the columns of inner, so its
+    # packed planes serve as the right factor of left . inner
+    ones = np.ones(n, dtype=np.int64)
+    for (left_rows, left_cols), (right_rows, right_cols) in ((mmat, lmat),
+                                                             (lmat, mmat)):
+        inner = _packed_planes(_product(left_cols, av, right_rows, n), n)
+        outer = _packed_planes(_accumulate(
+            [(weight, left_rows, cols) for weight, cols in inner.items()],
+            n, n), n)
+        del inner
+        for start, got in _accumulate(
+                [(weight, rows, right_cols) for weight, rows in outer.items()],
+                n, n):
+            report.compare(got * av[None, :],
+                           _diag_rows(ones, start, start + len(got)), start)
     return report
 
 
 def verify_thm5(n: int) -> VerifyReport:
-    """Shifted-Hankel factorization, its inverses, and the interleavings."""
+    """Shifted-Hankel factorization, its inverses, and the interleavings.
+
+    At the limit, MAX_SIZE = 16384: 55 s and 227 MB.
+    """
     _check_size(n)
     report = VerifyReport("thm5", n)
-    lt = build_tri(LTILDE, n)
-    mt = build_tri(MTILDE, n)
+    ltrows, mtrows = _packed(LTILDE, n), _packed(MTILDE, n)
     sv = sign_diag("stilde", n)
     tv = sign_diag("ttilde", n)
-    core = signed_product(lt, sv, lt.T)
-    report.compare(tv[:, None] * core * tv[None, :],
-                   hankel_bits(MU_SHIFT1, n))
-    dstilde = np.diag(sv)
-    report.compare(signed_product(lt, sv, mt), dstilde)
-    report.compare(signed_product(mt, sv, lt), dstilde)
+    for start, core in _product(ltrows, sv, ltrows, n):
+        stop = start + len(core)
+        report.compare(tv[start:stop, None] * core * tv[None, :],
+                       hankel_bits(MU_SHIFT1, n, start, stop), start)
+    for rows, cols in ((ltrows, _packed(MTILDE, n, True)),
+                       (mtrows, _packed(LTILDE, n, True))):
+        for start, got in _product(rows, sv, cols, n):
+            report.compare(got, _diag_rows(sv, start, start + len(got)),
+                           start)
     # parity vanishing and interleaving recursions
-    i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    odd_parity = (i - j) % 2 == 1
-    report.compare(lt * odd_parity, np.zeros_like(lt))
+    for start, stop in _row_blocks(n, n):
+        i = np.arange(start, stop)[:, None]
+        lt = _tri_block(LTILDE, n, start, stop)
+        report.compare(lt * ((i - j) % 2 == 1), np.zeros_like(lt), start)
+    # rows and columns of the kind at size n taken with step 2 from offset,
+    # against the leading block of want_kind at want_size
     h = n // 2
-    if h >= 1:
-        lmat = build_tri(L, h)
-        mmat = build_tri(M, h)
-        report.compare(lt[0:2 * h:2, 0:2 * h:2], lmat)
-        report.compare(mt[0:2 * h:2, 0:2 * h:2], mmat)
-        report.compare(lt[1:2 * h:2, 1:2 * h:2], lt[:h, :h])
-        report.compare(mt[1:2 * h:2, 1:2 * h:2], mt[:h, :h])
+    for kind, offset, want_kind, want_size in (
+            (LTILDE, 0, L, h), (MTILDE, 0, M, h),
+            (LTILDE, 1, LTILDE, n), (MTILDE, 1, MTILDE, n)):
+        for start, stop in _row_blocks(h, 2 * n):
+            got = _tri_block(kind, n, 2 * start + offset,
+                             2 * stop + offset - 1)[::2, offset:2 * h:2]
+            want = _tri_block(want_kind, want_size, start, stop)[:, :h]
+            report.compare(got, want, start)
     return report
 
 
@@ -361,9 +501,12 @@ _CHAINS = ((L_RULE, L), (M_RULE, M), (LTILDE0_RULE, LTILDE0),
 def verify_babab(n: int) -> VerifyReport:
     """Every block-recursion chain equals its formula-built matrix.
 
-    Each chain is grown once, to the largest power of two top <= n, and each
-    formula matrix is built once, at top; the level of size 2, 4, ..., top
-    compares their leading size x size blocks.
+    Each chain is grown once, to the largest power of two top <= n, and
+    compared, one chain at a time, with its formula matrix built at top;
+    the level of size 2, 4, ..., top compares their leading size x size
+    blocks, row block by row block.  Failures are reported level by level,
+    and chain by chain within a level.  At the limit, MAX_BABAB_SIZE = 16383
+    (top 8192): 1.8 s and 158 MB.
     """
     _check_size(n, MAX_BABAB_SIZE)
     report = VerifyReport("babab", n)
@@ -371,16 +514,22 @@ def verify_babab(n: int) -> VerifyReport:
         return report
     top = 1 << (n.bit_length() - 1)
     steps = top.bit_length() - 2
-    # formula matrices first: the int64 temporaries of build_tri set the
-    # peak memory, so they should not stack on top of the chains
-    wants = [build_tri(kind, top) for _, kind in _CHAINS]
-    chains = [(babab_expand(rule, steps), want)
-              for (rule, _), want in zip(_CHAINS, wants)]
-    size = 2
-    while size <= top:
-        for got, want in chains:
-            report.compare(got[:size, :size], want[:size, :size])
-        size *= 2
+    sizes = [2 << k for k in range(steps + 1)]
+    # parts[level][chain], merged in level order once every chain is done
+    parts = [[VerifyReport("babab", n) for _ in _CHAINS] for _ in sizes]
+    for c, (rule, kind) in enumerate(_CHAINS):
+        want = build_tri(kind, top)
+        chain = babab_expand(rule, steps)
+        for start, stop in _row_blocks(top, top):
+            for level, size in zip(parts, sizes):
+                if start < size:
+                    rows = slice(start, min(stop, size))
+                    level[c].compare(chain[rows, :size], want[rows, :size],
+                                     start)
+        del want, chain
+    for level in parts:
+        for part in level:
+            report.merge(part)
     return report
 
 
@@ -414,16 +563,20 @@ def general_eps_diag(eps: list[int], n: int) -> np.ndarray:
     return out
 
 
-def signed_hankel(eps: list[int], n: int) -> np.ndarray:
-    """Hankel matrix of the series with coefficient eps[k] at index 2^k - 1."""
+def signed_hankel(eps: list[int], n: int, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
+    """Rows start..stop (all by default) of the n x n Hankel matrix of the
+    series with coefficient eps[k] at index 2^k - 1."""
     _check_size(n)
-    vals = np.zeros(2 * n - 1, dtype=np.int64)
+    stop = n if stop is None else stop
+    # vals[m] is the coefficient at index start + m
+    vals = np.zeros(stop - start + n - 1, dtype=np.int64)
     k = 0
-    while (1 << k) - 1 < 2 * n - 1:
-        if k < len(eps):
-            vals[(1 << k) - 1] = eps[k]
+    while (1 << k) - 1 < stop + n - 1:
+        if k < len(eps) and (1 << k) - 1 >= start:
+            vals[(1 << k) - 1 - start] = eps[k]
         k += 1
-    i = np.arange(n)[:, None]
+    i = np.arange(stop - start)[:, None]
     j = np.arange(n)[None, :]
     return vals[i + j]
 
@@ -432,6 +585,8 @@ def verify_eps(eps: list[int], n: int) -> VerifyReport:
     """Conjugated factorization reproduces the sign-twisted Hankel matrix."""
     report = VerifyReport("eps", n)
     dvec = general_eps_diag(eps, n)
-    got = dvec[:, None] * _five_factor(n) * dvec[None, :]
-    report.compare(got, signed_hankel(eps, n))
+    for start, got in _five_factor_rows(n):
+        stop = start + len(got)
+        report.compare(dvec[start:stop, None] * got * dvec[None, :],
+                       signed_hankel(eps, n, start, stop), start)
     return report

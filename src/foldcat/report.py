@@ -38,15 +38,18 @@ class VerifyReport:
     def add(self, i: int, j: int, expected, got) -> None:
         self.failures.append(Failure(i, j, expected, got))
 
-    def compare(self, got: np.ndarray, expected: np.ndarray) -> None:
+    def compare(self, got: np.ndarray, expected: np.ndarray,
+                row: int = 0) -> None:
         """Add a failure for every entry where got differs from expected.
 
-        Failures come in row-major order.  NumPy integer scalars are
-        reported as python ints; the python ints and Fractions of object
-        arrays are reported as they are.
+        got and expected may be a block of rows of a larger matrix, the
+        first being row `row` of it.  Failures come in row-major order.
+        NumPy integer scalars are reported as python ints; the python ints
+        and Fractions of object arrays are reported as they are.
         """
         for i, j in np.argwhere(got != expected):
-            self.add(int(i), int(j), _plain(expected[i, j]), _plain(got[i, j]))
+            self.add(int(i) + row, int(j), _plain(expected[i, j]),
+                     _plain(got[i, j]))
 
     def merge(self, other: "VerifyReport") -> None:
         self.failures.extend(other.failures)

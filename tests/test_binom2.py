@@ -47,6 +47,20 @@ def test_grid_handles_negative_k():
             assert grid[a, b] == binom_mod2(2 * a + 1, a - b)
 
 
+def test_grid_keeps_narrow_signed_dtypes_and_widens_the_rest():
+    i = np.arange(0, 40000, 331, dtype=np.int32)[:, None]
+    j = np.arange(0, 40000, 467, dtype=np.int32)[None, :]
+    narrow = binom_mod2_grid(i + j + 1, 2 * j + 1)
+    wide = binom_mod2_grid((i + j + 1).astype(np.int64),
+                           (2 * j + 1).astype(np.int64))
+    assert narrow.dtype == wide.dtype == np.int8
+    assert (narrow == wide).all() and narrow.any()
+    # python ints past int32 are taken as int64
+    assert binom_mod2_grid([(1 << 40) + 5, (1 << 33) - 1],
+                           [5, 1 << 32]).tolist() == [1, 1]
+    assert binom_mod2_grid(np.array([6], dtype=np.uint8), [2]).tolist() == [1]
+
+
 @given(st.integers(0, 1 << 20), st.integers(0, 1 << 20))
 def test_pascal_rule_mod2(n, k):
     lhs = binom_mod2(n + 1, k)

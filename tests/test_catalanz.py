@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from foldcat import catalanz, gf2sign, seq
+from foldcat import binom2, catalanz, gf2sign, seq
 from foldcat.errors import InvariantError, SizeGuardError
 
 
@@ -148,6 +148,12 @@ def test_gf_mod2_matches_parity():
         assert bits[n] == seq.mu(n)
     for n in range(0, order, 37):
         assert bits[n] == catalanz.catalan(n) % 2
+
+
+@pytest.mark.parametrize("order", [1, 2, 63, 64, 65, 1000, 65536])
+def test_gf_mod2_equals_catalan_is_odd(order):
+    bits = catalanz.catalan_gf_mod2(order)
+    assert bits == [binom2.catalan_is_odd(n) for n in range(order)]
 
 
 def test_gf_mod2_guard():

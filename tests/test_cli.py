@@ -1,7 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -191,10 +195,10 @@ def test_unique_check_bad_token_is_usage_error(capsys):
 def test_verify_checks_every_suite_size_before_running(capsys, monkeypatch):
     real = cli._suite_runners
 
-    def no_runs(size, order, seed):
+    def no_runs(size, seed):
         def boom():
             raise AssertionError("a suite ran before the size checks")
-        return {name: boom for name in real(size, order, seed)}
+        return {name: boom for name in real(size, seed)}
 
     monkeypatch.setattr(cli, "_suite_runners", no_runs)
     cases = [
@@ -225,10 +229,20 @@ def test_verify_single_suite_json_schema(capsys):
 
 
 def test_verify_order_included_when_nondefault(capsys):
+    # verify has no --order: no suite reads one, and thm1's entry names the
+    # orders it ran at
+    code, out, err = run_cli(capsys, "--format", "json", "verify",
+                             "--suite", "dets", "--size", "8", "--order", "16")
+    assert code == 2
+    assert out == ""
+    assert "--order" in err and "Traceback" not in err
     code, out, _ = run_cli(capsys, "--format", "json", "verify",
-                           "--suite", "dets", "--size", "8", "--order", "16")
+                           "--suite", "thm1")
     report = json.loads(out)
-    assert report["order"] == 16
+    assert code == 0 and report["pass"] is True
+    assert report["orders"] == [600, 250, 750] == list(cfseries.THM1_ORDERS)
+    assert report["size"] == max(cfseries.THM1_ORDERS)
+    assert "order" not in report
 
 
 def test_verify_plain_output(capsys):
@@ -252,8 +266,7 @@ def test_verify_unknown_suite_usage_error(capsys):
 
 def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "verify",
-                           "--suite", "all", "--size", "16", "--order", "16",
-                           "--seed", "7")
+                           "--suite", "all", "--size", "16", "--seed", "7")
     assert code == 0
     reports = json.loads(out)
     names = [r["suite"] for r in reports]
@@ -295,3 +308,31 @@ def test_verify_deterministic_up_to_timing(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert strip_elapsed(first) == strip_elapsed(second)
+
+
+@pytest.mark.parametrize("suite", ["thm3", "ml-lm"])
+def test_verify_2048_stays_small(suite):
+    # the product suites stream over packed row blocks; with n x n int64
+    # products these two peaked at 142 and 218 MB (about 30 MB of either
+    # is the interpreter and numpy)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "foldcat.cli", "--format", "json", "verify",
+         "--suite", suite, "--size", "2048"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    # reaped with wait4 for its resource usage, so no Popen wait or timeout
+    timer = threading.Timer(120, proc.kill)
+    timer.start()
+    try:
+        out, err = proc.stdout.read(), proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stdout.close()
+    proc.stderr.close()
+    assert proc.returncode == 0, err
+    assert json.loads(out)["pass"] is True
+    assert usage.ru_maxrss / 1024 < 80  # kB on Linux

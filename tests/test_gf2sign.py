@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from foldcat import gf2sign, seq
+from foldcat import binom2, gf2sign, seq
 from foldcat.errors import SizeGuardError
 from foldcat.report import VerifyReport
 
@@ -46,6 +46,24 @@ def test_build_tri_entry_oracles():
         for i in range(n):
             for j in range(n):
                 assert mat[i, j] == entry(i, j), (kind, i, j)
+
+
+def test_last_rows_at_max_size_match_the_formulas():
+    # the row blocks index in int32: 2i + 2 and i + j + 1 must not wrap
+    n = gf2sign.MAX_SIZE
+    formulas = {
+        gf2sign.L: lambda i, j: binom2.binom_mod2(2 * i + 1, i - j),
+        gf2sign.M: lambda i, j: binom2.binom_mod2(i + j, 2 * j),
+        gf2sign.LTILDE: lambda i, j: binom2.binom_mod2(2 * i + 2, i - j),
+        gf2sign.MTILDE: lambda i, j: binom2.binom_mod2(i + j + 1, 2 * j + 1),
+    }
+    for kind, entry in formulas.items():
+        for transpose in (False, True):
+            rows = gf2sign._tri_block(kind, n, n - 2, n, transpose)
+            for r in range(2):
+                for c in range(n):
+                    i, j = (c, n - 2 + r) if transpose else (n - 2 + r, c)
+                    assert rows[r, c] == entry(i, j), (kind, i, j)
 
 
 def test_shifted_kinds_drop_first_row():
@@ -172,15 +190,8 @@ def test_flipped_entry_is_reported_where_it_lands(monkeypatch):
     # flipping L[5, 0] from 0 to 1 adds a_0 M[0] = e_0 to row 5 of L D_a M,
     # so the first identity of thm3 fails at (5, 0) alone, and the second
     # only in column 0
-    build = gf2sign.build_tri
-
-    def faulty(kind, n):
-        mat = build(kind, n)
-        if kind == gf2sign.L:
-            mat[5, 0] ^= 1
-        return mat
-
-    monkeypatch.setattr(gf2sign, "build_tri", faulty)
+    monkeypatch.setattr(gf2sign, "_tri_block",
+                        flip_entries({gf2sign.L: (5, 0)}, None))
     report = gf2sign.verify_thm3(16)
     assert not report.ok
     first = report.failures[0]
@@ -230,10 +241,11 @@ def test_babab_seed_and_growth():
 
 
 def test_ml_lm_guard_precedes_products(monkeypatch):
-    def no_build(kind, n):
+    def no_build(*args):
         raise AssertionError("built a matrix before the size guard")
 
     monkeypatch.setattr(gf2sign, "build_tri", no_build)
+    monkeypatch.setattr(gf2sign, "_tri_block", no_build)
     with pytest.raises(SizeGuardError, match="8192"):
         gf2sign.verify_prop_ml_lm(8193)
 
@@ -253,8 +265,8 @@ def test_babab_guard_names_real_limit_before_any_work(monkeypatch):
 
 def test_babab_largest_size_needs_only_admitted_steps(monkeypatch):
     # the largest admitted size asks for MAX_BLOCK_STEPS doublings and builds
-    # the formula matrices at the top level alone; stubs stand in for the
-    # 8192 x 8192 matrices
+    # the formula matrices at the top level alone, one chain at a time;
+    # stubs stand in for the 8192 x 8192 matrices
     built, grown = [], []
     monkeypatch.setattr(gf2sign, "build_tri",
                         lambda kind, n: built.append((kind, n)))
@@ -266,7 +278,7 @@ def test_babab_largest_size_needs_only_admitted_steps(monkeypatch):
     monkeypatch.setattr(gf2sign, "babab_expand", expand)
     with pytest.raises(RuntimeError, match="stop"):
         gf2sign.verify_babab(gf2sign.MAX_BABAB_SIZE)
-    assert [n for _, n in built] == [8192] * 4
+    assert built == [(gf2sign.L, 8192)]
     assert grown == [(gf2sign.L_RULE, gf2sign.MAX_BLOCK_STEPS)]
 
 
@@ -321,36 +333,21 @@ def test_babab_expand_matches_block_oracle():
 
 
 def flip_entries(entries, sizes):
-    """A build_tri that flips entries[kind] of each given kind in the
-    builds of the given sizes (None: every size)."""
-    build = gf2sign.build_tri
+    """A row-block builder (gf2sign._tri_block) that flips entries[kind] of
+    each given kind in the matrices of the given sizes (None: every size),
+    in the rows it is asked for and in the transposed rows alike, so that
+    build_tri and the packed operands both see the flip."""
+    block = gf2sign._tri_block
 
-    def faulty(kind, n):
-        mat = build(kind, n)
+    def faulty(kind, n, start, stop, transpose=False):
+        rows = block(kind, n, start, stop, transpose)
         if kind in entries and max(entries[kind]) < n and \
                 (sizes is None or n in sizes):
-            mat[entries[kind]] ^= 1
-        return mat
+            i, j = entries[kind][::-1] if transpose else entries[kind]
+            if start <= i < stop:
+                rows[i - start, j] ^= 1
+        return rows
     return faulty
-
-
-def shared_products(monkeypatch):
-    """Memoize signed_product, so that a second run of ml-lm on the same
-    operands skips the products; returns the memo, to clear per size."""
-    product = gf2sign.signed_product
-    memo = {}
-
-    def key(x):
-        return None if x is None else (x.dtype.str, x.shape, x.tobytes())
-
-    def memoized(a, w, b):
-        k = (key(a), key(w), key(b))
-        if k not in memo:
-            memo[k] = product(a, w, b)
-        return memo[k]
-
-    monkeypatch.setattr(gf2sign, "signed_product", memoized)
-    return memo
 
 
 FLIPS = {
@@ -364,7 +361,7 @@ FLIPS = {
 
 @pytest.mark.parametrize("flip", FLIPS)
 def test_babab_reports_match_oracle(monkeypatch, flip):
-    monkeypatch.setattr(gf2sign, "build_tri", flip_entries(*FLIPS[flip]))
+    monkeypatch.setattr(gf2sign, "_tri_block", flip_entries(*FLIPS[flip]))
     for n in range(1, 301):
         want = per_level_oracle_babab(n).as_dict()
         got = gf2sign.verify_babab(n).as_dict()
@@ -390,15 +387,14 @@ def test_babab_reports_match_oracle(monkeypatch, flip):
     ("size 8", range(1, 17)),
 ])
 def test_ml_lm_reports_match_oracle(monkeypatch, flip, sizes):
-    monkeypatch.setattr(gf2sign, "build_tri", flip_entries(*FLIPS[flip]))
-    memo = shared_products(monkeypatch)
+    # the streamed verifier against the dense one with the np.block chain
+    monkeypatch.setattr(gf2sign, "_tri_block", flip_entries(*FLIPS[flip]))
     expand = gf2sign.babab_expand
     for n in sizes:
         got = gf2sign.verify_prop_ml_lm(n).as_dict()
         monkeypatch.setattr(gf2sign, "babab_expand", block_oracle_expand)
-        assert got == gf2sign.verify_prop_ml_lm(n).as_dict(), n
+        assert got == dense_ml_lm(n).as_dict(), n
         monkeypatch.setattr(gf2sign, "babab_expand", expand)
-        memo.clear()
 
 
 @pytest.mark.parametrize("rule", ALL_RULES)
@@ -465,3 +461,201 @@ def test_eps_diag_input_validation():
         gf2sign.general_eps_diag([1, 2], 1)
     with pytest.raises(SizeGuardError):
         gf2sign.general_eps_diag([1, 1], 16)
+
+
+# The product verifiers as they were before they streamed: dense int8
+# operands from build_tri, dense int64 products from signed_product and
+# dense expected matrices.  Kept as the reference the streamed verifiers
+# must match, report for report.
+def dense_five_factor(n):
+    lmat = gf2sign.build_tri(gf2sign.L, n)
+    sv = gf2sign.sign_diag("s", n)
+    core = gf2sign.signed_product(lmat, gf2sign.sign_diag("a", n), lmat.T)
+    return sv[:, None] * core * sv[None, :]
+
+
+def dense_thm2(n):
+    report = VerifyReport("thm2", n)
+    report.compare(dense_five_factor(n),
+                   gf2sign.hankel_bits(gf2sign.MU_SHIFT0, n))
+    return report
+
+
+def dense_thm3(n):
+    report = VerifyReport("thm3", n)
+    lmat = gf2sign.build_tri(gf2sign.L, n)
+    mmat = gf2sign.build_tri(gf2sign.M, n)
+    sv = gf2sign.sign_diag("s", n)
+    av = gf2sign.sign_diag("a", n)
+    report.compare(gf2sign.signed_product(lmat, av, mmat), np.diag(av))
+    got = (sv * av)[:, None] * gf2sign.signed_product(mmat, av * sv * sv,
+                                                      lmat)
+    report.compare(got * sv[None, :], np.eye(n, dtype=np.int64))
+    return report
+
+
+def dense_mdl(n):
+    report = VerifyReport("mdl", n)
+    lmat = gf2sign.build_tri(gf2sign.L, n)
+    mmat = gf2sign.build_tri(gf2sign.M, n)
+    a_strict = gf2sign.build_tri(gf2sign.A_STRICT, n)
+    for kind in ("e", "o"):
+        mask = gf2sign.sign_diag(kind, n)
+        report.compare(gf2sign.signed_product(mmat, mask, lmat),
+                       a_strict + np.diag(mask))
+    return report
+
+
+def dense_ml_lm(n):
+    report = VerifyReport("ml-lm", n)
+    lmat = gf2sign.build_tri(gf2sign.L, n)
+    mmat = gf2sign.build_tri(gf2sign.M, n)
+    av = gf2sign.sign_diag("a", n)
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    report.compare(gf2sign.signed_product(mmat, None, lmat),
+                   np.where(i < j, 0, np.where(i == j, 1, 2)))
+    steps = max(0, (max(n - 1, 1)).bit_length() - 1)
+    report.compare(gf2sign.signed_product(lmat, None, mmat),
+                   gf2sign.babab_expand(gf2sign.LM_RULE, steps)[:n, :n])
+    ident = np.eye(n, dtype=np.int64)
+    for left, right in ((mmat, lmat), (lmat, mmat)):
+        inner = gf2sign.signed_product(right, av, left)
+        outer = gf2sign.signed_product(inner.T, None, left.T).T
+        report.compare(gf2sign.signed_product(outer, None, right)
+                       * av[None, :], ident)
+    return report
+
+
+def dense_thm5(n):
+    report = VerifyReport("thm5", n)
+    lt = gf2sign.build_tri(gf2sign.LTILDE, n)
+    mt = gf2sign.build_tri(gf2sign.MTILDE, n)
+    sv = gf2sign.sign_diag("stilde", n)
+    tv = gf2sign.sign_diag("ttilde", n)
+    core = gf2sign.signed_product(lt, sv, lt.T)
+    report.compare(tv[:, None] * core * tv[None, :],
+                   gf2sign.hankel_bits(gf2sign.MU_SHIFT1, n))
+    dstilde = np.diag(sv)
+    report.compare(gf2sign.signed_product(lt, sv, mt), dstilde)
+    report.compare(gf2sign.signed_product(mt, sv, lt), dstilde)
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    report.compare(lt * ((i - j) % 2 == 1), np.zeros_like(lt))
+    h = n // 2
+    if h >= 1:
+        lmat = gf2sign.build_tri(gf2sign.L, h)
+        mmat = gf2sign.build_tri(gf2sign.M, h)
+        report.compare(lt[0:2 * h:2, 0:2 * h:2], lmat)
+        report.compare(mt[0:2 * h:2, 0:2 * h:2], mmat)
+        report.compare(lt[1:2 * h:2, 1:2 * h:2], lt[:h, :h])
+        report.compare(mt[1:2 * h:2, 1:2 * h:2], mt[:h, :h])
+    return report
+
+
+def dense_eps(eps, n):
+    report = VerifyReport("eps", n)
+    dvec = gf2sign.general_eps_diag(eps, n)
+    got = dvec[:, None] * dense_five_factor(n) * dvec[None, :]
+    report.compare(got, gf2sign.signed_hankel(eps, n))
+    return report
+
+
+def eps_draws(n, count):
+    """count eps words long enough for size n, drawn from a seed fixed by n."""
+    rng = np.random.default_rng(n)
+    return [[1] + rng.choice([-1, 1], n.bit_length()).tolist()
+            for _ in range(count)]
+
+
+# (streamed verifier, dense oracle, the kinds it reads)
+STREAMED = {
+    "thm2": (gf2sign.verify_thm2, dense_thm2, {gf2sign.L}),
+    "thm3": (gf2sign.verify_thm3, dense_thm3, {gf2sign.L, gf2sign.M}),
+    "mdl": (gf2sign.verify_prop_mdl, dense_mdl, {gf2sign.L, gf2sign.M}),
+    "ml-lm": (gf2sign.verify_prop_ml_lm, dense_ml_lm,
+              {gf2sign.L, gf2sign.M}),
+    "thm5": (gf2sign.verify_thm5, dense_thm5,
+             {gf2sign.L, gf2sign.M, gf2sign.LTILDE, gf2sign.MTILDE}),
+    "eps": (None, None, {gf2sign.L}),
+}
+ENTRY_FLIPS = {gf2sign.L: (5, 2), gf2sign.M: (6, 3),
+               gf2sign.LTILDE: (9, 4), gf2sign.MTILDE: (7, 1)}
+
+
+def assert_streamed_matches_dense(name, sizes, eps_count=3):
+    verify, dense, _ = STREAMED[name]
+    for n in sizes:
+        if name == "eps":
+            for eps in eps_draws(n, eps_count):
+                assert gf2sign.verify_eps(eps, n).as_dict() == \
+                    dense_eps(eps, n).as_dict(), (n, eps)
+        else:
+            assert verify(n).as_dict() == dense(n).as_dict(), (name, n)
+
+
+BIG_SIZES = [511, 512, 513, 767, 768, 769, 1023, 1024, 1025]
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_reports_match_dense_clean(name):
+    assert_streamed_matches_dense(name, [*range(1, 301), *BIG_SIZES])
+
+
+# each flipped kind against every verifier that reads it; every size to 300
+# is covered by the clean runs, the flips take every size to 80 and the
+# sizes around the larger powers of two
+FLIP_SIZES = [*range(1, 81), 127, 128, 129, 255, 256, 257, 300]
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in STREAMED for kind in ENTRY_FLIPS
+    if kind in STREAMED[name][2]])
+def test_streamed_reports_match_dense_flipped(monkeypatch, name, kind):
+    monkeypatch.setattr(gf2sign, "_tri_block",
+                        flip_entries({kind: ENTRY_FLIPS[kind]}, None))
+    sizes = FLIP_SIZES + (BIG_SIZES[:3] if name != "ml-lm" else [])
+    assert_streamed_matches_dense(name, sizes, eps_count=1)
+    if name == "eps":  # the flip is seen
+        assert not gf2sign.verify_eps(eps_draws(64, 1)[0], 64).ok
+    else:
+        assert not STREAMED[name][0](64).ok
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65])
+def test_streamed_reports_match_dense_in_small_blocks(monkeypatch, rows):
+    sizes = [1, 2, 3, 63, 64, 65, 66, 127, 128, 130, 200]
+    monkeypatch.setattr(gf2sign, "_tri_block", flip_entries(
+        {gf2sign.L: (5, 2), gf2sign.M: (6, 3), gf2sign.LTILDE: (9, 4),
+         gf2sign.MTILDE0: (7, 1)}, None))
+    for n in sizes:
+        # products and operands hold rows x n entries per block
+        monkeypatch.setattr(gf2sign, "_BLOCK_ENTRIES", rows * n)
+        for name in STREAMED:
+            assert_streamed_matches_dense(name, [n], eps_count=1)
+        assert gf2sign.verify_babab(n).as_dict() == \
+            per_level_oracle_babab(n).as_dict(), n
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 200])
+def test_column_trim_with_empty_word_spans(n):
+    # right operands where whole words of a column, or all of it, are zero
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    rights = {
+        "diagonal": np.eye(n, dtype=np.int8),
+        "upper": (k[:, None] <= k[None, :]).astype(np.int8),
+        "lower": (k[:, None] >= k[None, :]).astype(np.int8),
+        "empty": np.zeros((n, n), dtype=np.int8),
+        "random upper": np.triu(rng.integers(0, 2, (n, n), dtype=np.int8)),
+        "one column": np.zeros((n, n), dtype=np.int8),
+    }
+    rights["one column"][n // 2:, n // 3] = 1
+    lefts = [rng.integers(0, 2, (n, n), dtype=np.int8),
+             rng.integers(-3, 4, (n, n)),
+             np.tril(rng.integers(0, 2, (n, n), dtype=np.int8))]
+    for label, b in rights.items():
+        for a in lefts:
+            for w in (None, rng.integers(-1, 2, n)):
+                assert (gf2sign.signed_product(a, w, b)
+                        == product_oracle(a, w, b)).all(), label
