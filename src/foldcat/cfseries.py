@@ -1,6 +1,6 @@
 """Formal-series and continued-fraction engine.
 
-Truncated rational power series, sparse multivariate polynomials, 2x2
+Sparse exact truncated power series, sparse multivariate polynomials, 2x2
 word-matrix products, the multivariate closed forms behind the folded
 continued fraction, Hankel LU over the rationals, Stieltjes/Jacobi
 extraction, determinant identities and the Hankel uniqueness checker.
@@ -32,27 +32,49 @@ MAX_CF_ORDER = 10000
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over exact rationals
+# sparse truncated power series with exact coefficients
+
+def _add_shifted_into(out: dict, terms: dict, c, e: int, order: int) -> dict:
+    """out += c * x^e * terms below the order, in place, keeping out sparse:
+    the one kernel behind +, -, * and the convergent step of cf_limit."""
+    if c:
+        for k, v in terms.items():
+            k += e
+            if k < order:
+                v = out.get(k, 0) + c * v
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return out
+
 
 class TruncSeries:
-    """Power series over Fractions, truncated at a fixed order."""
+    """Power series truncated at a fixed order, held sparse: terms maps
+    each exponent below the order to its nonzero int or Fraction."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "terms")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
         if order is None:
             order = len(coeffs)
-        cs = [Fraction(c) for c in coeffs[:order]]
-        cs += [Fraction(0)] * (order - len(cs))
+        # through Fraction, so that no float or string becomes a coefficient
+        cs = (Fraction(c) for c in coeffs[:order])
         self.order = order
-        self.coeffs = cs
+        self.terms = {k: c.numerator if c.denominator == 1 else c
+                      for k, c in enumerate(cs) if c}
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coefficient=1) -> "TruncSeries":
-        cs = [Fraction(0)] * order
-        if exponent < order:
-            cs[exponent] = Fraction(coefficient)
-        return cls(cs, order)
+    def _of(cls, terms: dict, order: int) -> "TruncSeries":
+        out = cls.__new__(cls)
+        out.order = order
+        out.terms = terms
+        return out
+
+    @property
+    def coeffs(self) -> list:
+        """The dense coefficient list, a fresh copy."""
+        return [self.terms.get(k, 0) for k in range(self.order)]
 
     def _check(self, other: "TruncSeries") -> None:
         if self.order != other.order:
@@ -60,46 +82,58 @@ class TruncSeries:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncSeries) and self.order == other.order \
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
+
+    def add_shifted(self, other: "TruncSeries", c=1, e: int = 0) \
+            -> "TruncSeries":
+        """self + c * x^e * other."""
+        self._check(other)
+        return self._of(_add_shifted_into(dict(self.terms), other.terms, c, e,
+                                          self.order), self.order)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                           self.order)
+        return self.add_shifted(other)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        return TruncSeries([a - b for a, b in zip(self.coeffs, other.coeffs)],
-                           self.order)
+        return self.add_shifted(other, -1)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        out = [Fraction(0)] * self.order
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(self.order - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(out, self.order)
-
-    def inverse(self) -> "TruncSeries":
-        if self.coeffs[0] == 0:
-            raise NonUnitError("constant term is zero")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i] if i < self.order else 0
-            out[k] = -inv0 * acc
-        return TruncSeries(out, self.order)
+        out: dict = {}
+        for e, c in self.terms.items():
+            _add_shifted_into(out, other.terms, c, e, self.order)
+        return self._of(out, self.order)
 
     def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
-        return self * other.inverse()
+        """Long division over the nonzero terms of other: each quotient
+        coefficient is subtracted, times other's tail, from the sparse
+        remainder.  A unit constant term keeps int series in ints."""
+        self._check(other)
+        if not self.order:  # x^0 = 0: every series is zero, and a unit
+            return self
+        q0 = other.terms.get(0, 0)
+        if not q0:
+            raise NonUnitError("constant term is zero")
+        inv0 = int(q0) if q0 in (1, -1) else 1 / Fraction(q0)
+        tail = sorted((e, c) for e, c in other.terms.items() if e)
+        rem = dict(self.terms)
+        out = {}
+        for k in range(self.order):
+            c = rem.pop(k, 0)
+            if c:
+                c *= inv0
+                out[k] = c
+                for e, qe in tail:
+                    if k + e >= self.order:
+                        break
+                    rem[k + e] = rem.get(k + e, 0) - c * qe
+        return self._of(out, self.order)
+
+    def inverse(self) -> "TruncSeries":
+        return TruncSeries([1], self.order) / self
 
     def nonzero_exponents(self) -> list[int]:
-        return [k for k, c in enumerate(self.coeffs) if c]
+        return sorted(self.terms)
 
     def to_strings(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" if c.denominator != 1
@@ -109,18 +143,20 @@ class TruncSeries:
         return f"TruncSeries({self.coeffs!r})"
 
 
+def _sparse_series(order: int, exponent: Callable[[int], int]) -> TruncSeries:
+    """Sum of x^exponent(k) over k = 0, 1, ... while exponent(k) < order,
+    for an increasing exponent."""
+    return TruncSeries._of(dict.fromkeys(itertools.takewhile(
+        lambda e: e < order, map(exponent, itertools.count())), 1), order)
+
+
 def mu_series(order: int) -> TruncSeries:
-    return TruncSeries([seq.mu(k) for k in range(order)], order)
+    return _sparse_series(order, lambda k: (1 << k) - 1)
 
 
 def power_of_two_series(order: int) -> TruncSeries:
     """Sum of x^(2^k), truncated."""
-    cs = [0] * order
-    k = 0
-    while (1 << k) < order:
-        cs[1 << k] = 1
-        k += 1
-    return TruncSeries(cs, order)
+    return _sparse_series(order, lambda k: 1 << k)
 
 
 # ---------------------------------------------------------------------------
@@ -272,57 +308,18 @@ def verify_lemma5(n: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # continued fractions with monomial numerators (integer coefficients)
 
-def _shift_add(cur: dict[int, int], prev: dict[int, int], sign: int,
-               exp: int, order: int) -> dict[int, int]:
-    """cur + sign * x^exp * prev on sparse {exponent: coefficient} maps."""
-    out = dict(cur)
-    for e, c in prev.items():
-        e += exp
-        if e < order:
-            v = out.get(e, 0) + sign * c
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-    return out
-
-
-def _sparse_div(p: dict[int, int], q: dict[int, int], order: int) -> list[int]:
-    """Coefficients of p / q to the truncation order, for q(0) = +-1.
-
-    Long division over the nonzero terms of q: each nonzero quotient
-    coefficient is subtracted, times q's tail, from the sparse remainder.
-    """
-    q0 = q.get(0, 0)
-    if q0 not in (1, -1):
-        raise NonUnitError("constant term must be a unit for integer inversion")
-    tail = sorted((e, c) for e, c in q.items() if e)
-    rem = dict(p)
-    out = [0] * order
-    for k in range(order):
-        c = rem.pop(k, 0)
-        if c:
-            c *= q0
-            out[k] = c
-            for e, qe in tail:
-                if k + e >= order:
-                    break
-                rem[k + e] = rem.get(k + e, 0) - c * qe
-    return out
-
-
 def cf_limit(numerators: Iterable[tuple[int, int]], order: int,
              b0: int = 0) -> TruncSeries:
     """Limit of b0 + a1/(1 + a2/(1 + ...)) with monomial numerators.
 
     numerators yields (sign, exponent) pairs for a_k = sign * x^exponent
     (exponent >= 1 so the agreement order of consecutive convergents
-    grows).  The convergents P_k/Q_k are kept as sparse maps truncated at
-    the order.  Stabilization is declared when two consecutive convergents
+    grows).  The convergents P_k/Q_k are kept as series truncated at the
+    order.  Stabilization is declared when two consecutive convergents
     agree to the truncation order, which is checked by explicit division.
     """
-    p_prev, q_prev = {0: 1}, {}                   # index -1
-    p_cur, q_cur = ({0: b0} if b0 else {}), {0: 1}  # index 0
+    p_prev, q_prev = TruncSeries([1], order), TruncSeries([], order)  # -1
+    p_cur, q_cur = TruncSeries([b0], order), TruncSeries([1], order)   # 0
     expsum = 0
     steps = 0
     for sign, exp in numerators:
@@ -331,13 +328,13 @@ def cf_limit(numerators: Iterable[tuple[int, int]], order: int,
         steps += 1
         if steps > CF_STEP_BUDGET:
             break
-        p_prev, p_cur = p_cur, _shift_add(p_cur, p_prev, sign, exp, order)
-        q_prev, q_cur = q_cur, _shift_add(q_cur, q_prev, sign, exp, order)
+        p_prev, p_cur = p_cur, p_cur.add_shifted(p_prev, sign, exp)
+        q_prev, q_cur = q_cur, q_cur.add_shifted(q_prev, sign, exp)
         expsum += exp
         if expsum >= order:
-            cur = _sparse_div(p_cur, q_cur, order)
-            if cur == _sparse_div(p_prev, q_prev, order):
-                return TruncSeries(cur, order)
+            cur = p_cur / q_cur
+            if cur == p_prev / q_prev:
+                return cur
     raise NoConvergenceError(
         f"no stabilization to order {order} within {steps} steps")
 
@@ -378,14 +375,16 @@ def jacobi_series(a: Sequence, b: Sequence, order: int,
         depth = len(a)
     if depth < 1 or depth > len(a) or depth - 1 > len(b):
         raise ValueError("depth out of range for the given coefficients")
-    p_prev, q_prev = TruncSeries([1], order), TruncSeries([0], order)
-    p_cur, q_cur = TruncSeries([0], order), TruncSeries([1], order)
+    p_prev, q_prev = TruncSeries([1], order), TruncSeries([], order)
+    p_cur, q_cur = TruncSeries([], order), TruncSeries([1], order)
     for k in range(depth):
-        den = TruncSeries([1, -Fraction(a[k])], order)
-        num = TruncSeries([0, 0, -Fraction(b[k - 1])], order) if k >= 1 \
-            else TruncSeries([1], order)
-        p_cur, p_prev = den * p_cur + num * p_prev, p_cur
-        q_cur, q_prev = den * q_cur + num * q_prev, q_cur
+        # next = (1 - a_k x) cur + num prev, num = -b_k x^2, or 1 at k = 0
+        minus_a = -Fraction(a[k])
+        num, e = (-Fraction(b[k - 1]), 2) if k else (1, 0)
+        p_cur, p_prev = (p_cur.add_shifted(p_cur, minus_a, 1)
+                         .add_shifted(p_prev, num, e)), p_cur
+        q_cur, q_prev = (q_cur.add_shifted(q_cur, minus_a, 1)
+                         .add_shifted(q_prev, num, e)), q_cur
     return p_cur / q_cur
 
 
@@ -776,12 +775,3 @@ def verify_thm1(orders: tuple[int, int, int] = THM1_ORDERS) -> VerifyReport:
 
 def _factorial_stream(k: int) -> int:
     return math.factorial(k + 1)
-
-
-def _sparse_series(order: int, exponent: Callable[[int], int]) -> TruncSeries:
-    cs = [0] * order
-    k = 0
-    while exponent(k) < order:
-        cs[exponent(k)] = 1
-        k += 1
-    return TruncSeries(cs, order)

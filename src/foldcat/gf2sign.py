@@ -9,9 +9,10 @@ operands as packed bits and check their products one row block at a time.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from . import seq
 from .binom2 import binom_mod2_grid
 from .errors import SizeGuardError
 from .report import VerifyReport
@@ -146,18 +147,39 @@ def babab_expand(rule: str, steps: int) -> np.ndarray:
     return out
 
 
-def hankel_bits(source: str, n: int, start: int = 0,
-                stop: int | None = None) -> np.ndarray:
-    """Rows start..stop (all by default) of the n x n Hankel matrix of mu
-    (shift 0) or of its shift by one."""
+def _hankel_window(coeffs, shift: int, n: int, start: int, stop: int | None,
+                   dtype) -> np.ndarray:
+    """Rows start..stop (all by default) of the n x n Hankel matrix whose
+    (i, j) entry is coeffs[k] where i + j + shift = 2^k - 1, and 0 elsewhere;
+    coeffs may be infinite, and indices past its end read as 0."""
     _check_size(n)
-    shift = {MU_SHIFT0: 0, MU_SHIFT1: 1}[source]
     stop = n if stop is None else stop
-    m = np.arange(start + shift, stop + n - 1 + shift, dtype=np.int64)
-    vals = (((m + 1) & m) == 0).astype(np.int8)  # mu(m): m + 1 a power of two
+    # vals[m] is the entry on the antidiagonal i + j = start + m
+    vals = np.zeros(stop - start + n - 1, dtype=dtype)
+    for k, c in enumerate(coeffs):
+        m = (1 << k) - 1 - shift - start
+        if m >= len(vals):
+            break
+        if m >= 0:
+            vals[m] = c
     i = np.arange(stop - start)[:, None]
     j = np.arange(n)[None, :]
     return vals[i + j]
+
+
+def hankel_bits(source: str, n: int, start: int = 0,
+                stop: int | None = None) -> np.ndarray:
+    """Rows start..stop (all by default) of the n x n Hankel matrix of mu
+    (shift 0) or of its shift by one, as int8."""
+    shift = {MU_SHIFT0: 0, MU_SHIFT1: 1}[source]
+    # mu(m) = 1 where m + 1 is a power of two
+    return _hankel_window(itertools.repeat(1), shift, n, start, stop,
+                          np.int8)
+
+
+def _parity_sign(bits: np.ndarray) -> np.ndarray:
+    """(-1)^popcount, elementwise, as int64."""
+    return 1 - 2 * (np.bitwise_count(bits) & 1).astype(np.int64)
 
 
 def sign_diag(kind: str, n: int) -> np.ndarray:
@@ -165,19 +187,19 @@ def sign_diag(kind: str, n: int) -> np.ndarray:
     _check_size(n)
     i = np.arange(n, dtype=np.int64)
     if kind == "s":  # (-1)^b0(i), b0 counting the "10" factors of i
-        b0 = np.bitwise_count((i >> 1) & ~i)
-        return 1 - 2 * (b0 & 1).astype(np.int64)
+        return _parity_sign((i >> 1) & ~i)
     if kind == "a":
         return 1 - 2 * (i & 1)
     if kind == "e":
         return 1 - (i & 1)
     if kind == "o":
         return i & 1
+    lowest_zero = ~i & (i + 1)
     if kind == "stilde":  # -1 iff the bit above the lowest zero bit is set
-        lowest_zero = ~i & (i + 1)
-        return 1 - 2 * ((i & (lowest_zero << 1)) != 0).astype(np.int64)
-    if kind == "ttilde":
-        return np.array([seq.t_tilde(k) for k in range(n)], dtype=np.int64)
+        return _parity_sign(i & (lowest_zero << 1))
+    if kind == "ttilde":  # s(i >> (t + 1)), t the trailing one bits of i
+        m = i // (lowest_zero << 1)
+        return _parity_sign((m >> 1) & ~m)
     raise ValueError(f"unknown sign kind {kind!r}")
 
 
@@ -549,36 +571,18 @@ def general_eps_diag(eps: list[int], n: int) -> np.ndarray:
     c = [eps[1] if len(eps) > 1 else 1]
     for j in range(1, len(eps) - 1):
         c.append(eps[j] * eps[j + 1])
-    out = np.ones(n, dtype=np.int64)
-    for m in range(1, n):
-        sign = 1
-        bits = m
-        j = 0
-        while bits:
-            if bits & 1:
-                sign *= c[j]
-            bits >>= 1
-            j += 1
-        out[m] = sign
-    return out
+    # every c_j is +-1, so d_m is -1 to the number of set bits j of m
+    # with c_j = -1; m < n has no bit j >= n.bit_length()
+    negative = sum(1 << j for j, cj in enumerate(c[:n.bit_length()])
+                   if cj < 0)
+    return _parity_sign(np.arange(n, dtype=np.int64) & negative)
 
 
 def signed_hankel(eps: list[int], n: int, start: int = 0,
                   stop: int | None = None) -> np.ndarray:
     """Rows start..stop (all by default) of the n x n Hankel matrix of the
     series with coefficient eps[k] at index 2^k - 1."""
-    _check_size(n)
-    stop = n if stop is None else stop
-    # vals[m] is the coefficient at index start + m
-    vals = np.zeros(stop - start + n - 1, dtype=np.int64)
-    k = 0
-    while (1 << k) - 1 < stop + n - 1:
-        if k < len(eps) and (1 << k) - 1 >= start:
-            vals[(1 << k) - 1 - start] = eps[k]
-        k += 1
-    i = np.arange(stop - start)[:, None]
-    j = np.arange(n)[None, :]
-    return vals[i + j]
+    return _hankel_window(eps, 0, n, start, stop, np.int64)
 
 
 def verify_eps(eps: list[int], n: int) -> VerifyReport:

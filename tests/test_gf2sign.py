@@ -112,8 +112,8 @@ def test_sign_diag_values():
     assert gf2sign.sign_diag("o", n).tolist() == [i % 2 for i in range(n)]
     assert gf2sign.sign_diag("stilde", n).tolist() == \
         [seq.s_tilde(i) for i in range(n)]
-    assert gf2sign.sign_diag("ttilde", n).tolist() == \
-        [seq.t_tilde(i) for i in range(n)]
+    assert gf2sign.sign_diag("ttilde", gf2sign.MAX_SIZE).tolist() == \
+        [seq.t_tilde(i) for i in range(gf2sign.MAX_SIZE)]
 
 
 def product_oracle(a, w, b):
@@ -452,6 +452,36 @@ def test_eps_diag_antidiagonal_telescoping():
 def test_eps_twisted_factorization(eps):
     n = min(64, 1 << (len(eps) - 1))
     assert gf2sign.verify_eps(eps, n).ok
+
+
+def eps_diag_oracle(eps, n):
+    """general_eps_diag as a loop over the bits of each m."""
+    c = [eps[1] if len(eps) > 1 else 1]
+    for j in range(1, len(eps) - 1):
+        c.append(eps[j] * eps[j + 1])
+    out = np.ones(n, dtype=np.int64)
+    for m in range(1, n):
+        sign = 1
+        bits = m
+        j = 0
+        while bits:
+            if bits & 1:
+                sign *= c[j]
+            bits >>= 1
+            j += 1
+        out[m] = sign
+    return out
+
+
+def test_eps_diag_matches_bit_loop():
+    rng = np.random.default_rng(8)
+    for n in range(1, 301):
+        shortest = (n - 1).bit_length() + 1  # 2^(len - 1) >= n
+        for length in (shortest, shortest + 1, shortest + 4, 80):
+            eps = [1] + rng.choice([-1, 1], length - 1).tolist()
+            got = gf2sign.general_eps_diag(eps, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == eps_diag_oracle(eps, n).tolist(), eps
 
 
 def test_eps_diag_input_validation():
