@@ -171,9 +171,11 @@ def hankel_bits(source: str, n: int, start: int = 0,
                 stop: int | None = None) -> np.ndarray:
     """Rows start..stop (all by default) of the n x n Hankel matrix of mu
     (shift 0) or of its shift by one, as int8."""
-    shift = {MU_SHIFT0: 0, MU_SHIFT1: 1}[source]
+    shifts = {MU_SHIFT0: 0, MU_SHIFT1: 1}
+    if source not in shifts:
+        raise ValueError(f"unknown source {source!r}")
     # mu(m) = 1 where m + 1 is a power of two
-    return _hankel_window(itertools.repeat(1), shift, n, start, stop,
+    return _hankel_window(itertools.repeat(1), shifts[source], n, start, stop,
                           np.int8)
 
 

@@ -135,7 +135,8 @@ def test_09_determinant_identities():
 # Budgets of gates 10 and 11: ten times the summed median time of their
 # calls in BENCH_5.json ("gate_calls": 0.41 s and 0.43 s), rounded up to a
 # whole second.  The benchmark sizes (catalan-lu at 128, exp-products and
-# log-conjecture at 64) run beside the CLI sizes at 48.
+# log-conjecture at 64) run beside the CLI sizes at 48; gate 11 also runs
+# the guard's limit, 128, within the same budget.
 def test_10_catalan_factorizations():
     def check():
         problems = []
@@ -151,13 +152,13 @@ def test_10_catalan_factorizations():
 def test_11_log_stripes_conjecture():
     def check():
         problems = []
-        for n in (48, 64):
+        for n in (48, 64, 128):
             report = catalanz.check_log_conjecture(n)
             if not report.conjecture:
                 return ["report not flagged as conjecture"]
             problems += report_problems(report)
         return problems
-    gate(11, "CONJECTURE striped logarithms at 48 and 64", 5, check)
+    gate(11, "CONJECTURE striped logarithms at 48, 64 and 128", 5, check)
 
 
 def test_12_bitwise_binomials_against_oracles():

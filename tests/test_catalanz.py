@@ -328,13 +328,15 @@ def _failures(report):
     return [(f.i, f.j, f.expected, f.got) for f in report.failures]
 
 
-def _flip_lz(monkeypatch, i, j):
+def _flip(monkeypatch, *entries):
+    """Make build_catalan_matrix add 1 at each (kind, i, j) of entries."""
     build = catalanz.build_catalan_matrix
 
     def faulty(kind, n):
         mat = build(kind, n)
-        if kind == catalanz.LZ:
-            mat[i, j] += 1
+        for flip_kind, i, j in entries:
+            if flip_kind == kind:
+                mat[i, j] += 1
         return mat
 
     monkeypatch.setattr(catalanz, "build_catalan_matrix", faulty)
@@ -345,7 +347,7 @@ def test_flipped_entry_localised_in_catalan_lu(monkeypatch):
     # L[5, 2] + 1 adds L[i, 2] to H[i, 5]; L[2, 2] = 1 is the first nonzero
     # in row-major order, so the first failure is (2, 5): C_7 = 429 vs 430
     n = 16
-    build = _flip_lz(monkeypatch, 5, 2)
+    build = _flip(monkeypatch, (catalanz.LZ, 5, 2))
     report = catalanz.verify_catalan_lu(n)
     assert _failures(report)[0] == (2, 5, 429, 430)
     # every failure, in order, as the full products of the flipped factors
@@ -360,7 +362,7 @@ def test_flipped_entry_localised_in_catalan_lu(monkeypatch):
 
 def test_flipped_entry_localised_in_log_conjecture(monkeypatch):
     n = 16
-    build = _flip_lz(monkeypatch, 7, 3)
+    build = _flip(monkeypatch, (catalanz.LZ, 7, 3))
     report = catalanz.check_log_conjecture(n)
     lmat = build(catalanz.LZ, n)
     lmat[7, 3] += 1
@@ -380,7 +382,7 @@ def test_flipped_entry_localised_in_log_conjecture(monkeypatch):
 def test_flip_above_the_diagonal_is_refused(monkeypatch, i, j):
     # the triangle-aware products never read the upper triangle, so a
     # factor with an entry there is refused instead of passed silently
-    _flip_lz(monkeypatch, i, j)
+    _flip(monkeypatch, (catalanz.LZ, i, j))
     for verifier in (catalanz.verify_catalan_lu, catalanz.verify_exp_products,
                      catalanz.check_log_conjecture):
         with pytest.raises(InvariantError, match=rf"\({i}, {j}\)"):
@@ -407,3 +409,164 @@ def test_exp_log_guard_precedes_any_work():
         with pytest.raises(SizeGuardError, match=r"\[0, 128\]"):
             fn(big)
         assert fn(np.zeros((0, 0), dtype=object)).shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the exp certificate behind check_log_conjecture
+
+def random_regular_nilpotent(rng, n):
+    """Random strictly lower integer matrix, nonzero on its first
+    subdiagonal."""
+    s = random_strictly_lower(rng, n)
+    for i in range(1, n):
+        s[i, i - 1] = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+    return s
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_certificate_agrees_with_exp(n):
+    rng = random.Random(3000 + n)
+    s = random_regular_nilpotent(rng, n)
+    u = catalanz.nilpotent_exp(s)
+    other = s.copy()
+    if n > 1:
+        i = rng.randrange(1, n)
+        other[i, rng.randrange(i)] += rng.choice([-1, 1])
+    # u + s^2 commutes with s but has another first column from n = 3 on
+    candidates = [u, catalanz.nilpotent_exp(other),
+                  u + catalanz._lower_matmul(s, s),
+                  random_strictly_lower(rng, n) + catalanz._identity(n)]
+    for cand in candidates:
+        assert catalanz._is_exp(s, cand) is bool((u == cand).all())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_certificate_rejects_every_bumped_entry(n):
+    rng = random.Random(4000 + n)
+    for s in (random_regular_nilpotent(rng, n), catalanz._stripes(n, 2)):
+        u = catalanz.nilpotent_exp(s)
+        assert catalanz._is_exp(s, u)
+        for i in range(n):
+            for j in range(i + 1):
+                bumped = u.copy()
+                bumped[i, j] += 1
+                assert not catalanz._is_exp(s, bumped), (i, j)
+
+
+def test_certificate_size_one():
+    zero = np.zeros((1, 1), dtype=object)
+    one = catalanz._identity(1)
+    assert catalanz._is_exp(zero, one)
+    assert catalanz._is_exp(zero, one * Fraction(1))
+    assert not catalanz._is_exp(zero, one + one)
+
+
+def test_certificate_refuses_outside_its_premise():
+    n = 8
+    s = catalanz._stripes(n, 2)
+    u = catalanz.nilpotent_exp(s)
+    holey = s.copy()
+    holey[3, 2] = 0
+    # u == exp(holey) holds, but a zero on the first subdiagonal leaves the
+    # certificate without its basis, so it answers False
+    assert not catalanz._is_exp(holey, catalanz.nilpotent_exp(holey))
+    upper = u.copy()
+    upper[2, 5] = 1
+    assert not catalanz._is_exp(s, upper)
+    assert not catalanz._is_exp(s + s.T, u)
+
+
+_log_kernel = catalanz.nilpotent_log
+
+
+def old_logs(n):
+    """log(M L) and log(M~ L~) at size n."""
+    lmat, mmat, lt, mt = catalanz._factors(n)
+    return _log_kernel(mmat @ lmat), _log_kernel(mt @ lt)
+
+
+def old_log_report(n, logs=None):
+    """check_log_conjecture before the certificate: the log of each product
+    compared entry by entry, kept as the oracle of its reports.  logs may be
+    old_logs at a larger size: every factor is lower-triangular and the
+    leading block of a larger one, so the logs at n are their leading
+    n x n blocks."""
+    report = catalanz.VerifyReport("log-conjecture", n, conjecture=True)
+    for log, offset in zip(logs or old_logs(n), (2, 4)):
+        report.compare(log[:n, :n], catalanz._stripes(n, offset))
+    return report
+
+
+def _spy_log(monkeypatch):
+    calls = []
+
+    def spy(u):
+        calls.append(u.shape[0])
+        return _log_kernel(u)
+
+    monkeypatch.setattr(catalanz, "nilpotent_log", spy)
+    return calls
+
+
+def test_log_report_matches_log_path_at_every_size(monkeypatch):
+    logs = old_logs(64)
+    calls = _spy_log(monkeypatch)
+    for n in range(1, 65):
+        report = catalanz.check_log_conjecture(n)
+        assert report.ok
+        assert report.as_dict() == old_log_report(n, logs).as_dict(), n
+    assert report.as_dict() == old_log_report(64).as_dict()
+    assert calls == []
+
+
+def _flips(n):
+    """Lower entries of an n x n factor to flip: column 0, the last row,
+    the diagonal and one inner entry."""
+    last = n - 1
+    return sorted({(last, 0), (last // 2, 0), (last, last // 2),
+                   (last, max(last - 1, 0)), (last, last), (n // 3, n // 4)})
+
+
+@pytest.mark.parametrize("kind", [catalanz.LZ, catalanz.MZ,
+                                  catalanz.LTILDEZ, catalanz.MTILDEZ])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
+def test_flipped_log_reports_match_log_path(monkeypatch, kind, n):
+    for i, j in _flips(n):
+        monkeypatch.undo()
+        _flip(monkeypatch, (kind, i, j))
+        if i == j:  # a diagonal flip leaves the product not unipotent
+            with pytest.raises(ValueError, match="unipotent"):
+                old_log_report(n)
+            with pytest.raises(ValueError, match="unipotent"):
+                catalanz.check_log_conjecture(n)
+            continue
+        calls = _spy_log(monkeypatch)
+        report = catalanz.check_log_conjecture(n)
+        assert not report.ok and calls == [n], (i, j)
+        assert report.as_dict() == old_log_report(n).as_dict(), (i, j)
+
+
+def test_log_computed_once_per_failing_product(monkeypatch):
+    n = 16
+    _flip(monkeypatch, (catalanz.LZ, 7, 3), (catalanz.MTILDEZ, 15, 0))
+    calls = _spy_log(monkeypatch)
+    report = catalanz.check_log_conjecture(n)
+    assert calls == [n, n]
+    assert report.as_dict() == old_log_report(n).as_dict()
+
+
+def test_log_path_decides_outside_the_premise(monkeypatch):
+    n = 12
+    stripes = catalanz._stripes
+
+    def holey(size, offset):
+        out = stripes(size, offset)
+        out[3, 2] = 0
+        return out
+
+    monkeypatch.setattr(catalanz, "_stripes", holey)
+    calls = _spy_log(monkeypatch)
+    report = catalanz.check_log_conjecture(n)
+    assert calls == [n, n]
+    assert _failures(report) == [(3, 2, 0, 10), (3, 2, 0, 12)]
+    assert report.as_dict() == old_log_report(n).as_dict()

@@ -90,6 +90,13 @@ def test_build_tri_guards():
         gf2sign.build_tri("bogus", 4)
 
 
+@pytest.mark.parametrize("builder", [gf2sign.build_tri, gf2sign.sign_diag,
+                                     gf2sign.hankel_bits])
+def test_unknown_name_raises_value_error(builder):
+    with pytest.raises(ValueError, match=r"unknown .*'bogus'"):
+        builder("bogus", 4)
+
+
 def test_hankel_bits_structure():
     n = 20
     for source, shift in ((gf2sign.MU_SHIFT0, 0), (gf2sign.MU_SHIFT1, 1)):
