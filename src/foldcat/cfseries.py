@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import catalanz, gf2sign, seq
+from . import gf2sign, seq
 from .errors import (InvariantError, NoConvergenceError, NonUnitError,
                      SingularMinorError, SizeGuardError)
 from .report import VerifyReport
@@ -26,6 +26,8 @@ MAX_JACOBI_DEPTH = MAX_LU_SIZE - 1   # the depth-n extraction factors H(n + 1)
 # one Bareiss pass over the 1024 x 1024 mu Hankel: 6.8 s and 54 MB peak RSS
 # on a 2-vCPU Xeon (Python 3.11); the time grows as n^3
 MAX_DET_SIZE = 1024
+# uniqueness_check reads Hankel minors up to the order that MAX_DET_SIZE admits
+MAX_UNIQUE_LEN = 2 * MAX_DET_SIZE
 # cf_limit_example(1, 10000), the slowest example (time grows as order^2):
 # 1.5-1.7 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
 MAX_CF_ORDER = 10000
@@ -389,42 +391,14 @@ def jacobi_series(a: Sequence, b: Sequence, order: int,
 
 
 # ---------------------------------------------------------------------------
-# moment functionals, Hankel LU, Stieltjes extraction
+# Hankel LU and Stieltjes extraction
 
-class MomentFunctional:
-    """Linear form with <x^i, x^j> = moments(i + j)."""
-
-    def __init__(self, moments: Callable[[int], object], name: str = ""):
-        self._moments = moments
-        self.name = name
-
-    def __call__(self, k: int):
-        return self._moments(k)
-
-    def pair(self, p: Sequence, q: Sequence):
-        """<P, Q> for coefficient sequences P, Q."""
-        acc = 0
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q):
-                    if b:
-                        acc += a * b * self._moments(i + j)
-        return acc
+# a moment sequence, the linear form <x^i, x^j> = moments(i + j): seq.mu,
+# catalanz.catalan or any callable k -> int or Fraction
+Moments = Callable[[int], int | Fraction]
 
 
-def mu_moments() -> MomentFunctional:
-    return MomentFunctional(seq.mu, "mu")
-
-
-def mu_shifted_moments() -> MomentFunctional:
-    return MomentFunctional(lambda k: seq.mu(k + 1), "mu-shift")
-
-
-def catalan_moments() -> MomentFunctional:
-    return MomentFunctional(catalanz.catalan, "catalan")
-
-
-def hankel_lu_rational(moments: MomentFunctional,
+def hankel_lu_rational(moments: Moments,
                        n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Exact L D L^t factorization of the n-th Hankel matrix.
 
@@ -439,14 +413,13 @@ def hankel_lu_rational(moments: MomentFunctional,
     # scaling H by c scales Delta_k by c^k and leaves L unchanged
     scale = math.lcm(*(v.denominator for v in values))
     ints = [int(v * scale) for v in values]
-    minors, cols = _bareiss([ints[i:i + n] for i in range(n)],
-                            all_minors=False)
-    if len(cols) < n:
-        raise SingularMinorError(len(cols))
     low = [[Fraction(0)] * n for _ in range(n)]
     diag: list[Fraction] = []
     prev = 1
-    for j, (minor, col) in enumerate(zip(minors, cols)):
+    rows = [ints[i:i + n] for i in range(n)]
+    for j, (minor, col) in enumerate(_bareiss(rows)):
+        if minor == 0:
+            raise SingularMinorError(j)
         diag.append(Fraction(minor, prev * scale))
         for i, v in enumerate(col, start=j):
             low[i][j] = Fraction(v, minor)
@@ -459,7 +432,7 @@ class JacobiCF(NamedTuple):
     b: list[Fraction]
 
 
-def stieltjes_extract(moments: MomentFunctional, n: int) -> JacobiCF:
+def stieltjes_extract(moments: Moments, n: int) -> JacobiCF:
     """Three-term recursion coefficients from the Hankel LU factor.
 
     With L the unipotent factor of H(n + 1), the Stieltjes matrix
@@ -506,7 +479,7 @@ def stieltjes_extract(moments: MomentFunctional, n: int) -> JacobiCF:
 def verify_thm4(n: int) -> VerifyReport:
     """Jacobi coefficients of the mu moments: a matches d, b is -1."""
     report = VerifyReport("thm4", n)
-    cf = stieltjes_extract(mu_moments(), n)
+    cf = stieltjes_extract(seq.mu, n)
     for k in range(1, n + 1):
         if cf.a[k - 1] != seq.d(k):
             report.add(k - 1, k - 1, seq.d(k), cf.a[k - 1])
@@ -548,29 +521,23 @@ def det_int(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _bareiss(mat: list[list[int]],
-             all_minors: bool = True) -> tuple[list[int], list[list[int]]]:
-    """Leading principal minors of a square integer matrix in one pass.
+def _bareiss(mat: list[list[int]]) -> Iterator[tuple[int, list[int]]]:
+    """Leading principal minors of a square integer matrix, one per step.
 
     Fraction-free Bareiss elimination without pivoting (Bareiss 1968):
-    the pivot of step j is the leading minor Delta_(j+1), and the column
-    it eliminates holds the bordered minors det(rows 0..j-1 and i,
-    columns 0..j) for i >= j.  Returns [Delta_1, ..., Delta_n] and those
-    columns, one per step before the first zero pivot.  A zero pivot ends
-    the elimination; with all_minors the larger minors then come from
-    det_int, otherwise the minors stop at the zero one.
+    step j yields its pivot, the leading minor Delta_(j+1), and the column
+    it eliminates, which holds the bordered minors det(rows 0..j-1 and i,
+    columns 0..j) for i >= j.  Each step runs only when it is asked for,
+    and a zero pivot is the last step yielded.
     """
-    minors: list[int] = []
-    cols: list[list[int]] = []
     work = mat
     prev = 1
     while work:
         top = work[0]
         pivot = top[0]
-        minors.append(pivot)
+        yield pivot, [row[0] for row in work]
         if pivot == 0:
-            break
-        cols.append([row[0] for row in work])
+            return
         # each new entry is (x * pivot - f * y) // prev, exactly; where f or
         # y is zero that is x * pivot // prev, so only rows with f != 0 need
         # the full update, and only in the nonzero columns of the pivot row
@@ -585,35 +552,35 @@ def _bareiss(mat: list[list[int]],
             rows.append(new)
         work = rows
         prev = pivot
-    if all_minors:
-        minors += [det_int([row[:k] for row in mat[:k]])
-                   for k in range(len(minors) + 1, len(mat) + 1)]
-    return minors, cols
 
 
-def hankel_minors(moments: MomentFunctional, n: int) -> list[int]:
-    """det H(1), ..., det H(n) of an integer moment sequence, in one pass."""
+def hankel_minors(moments: Moments, n: int) -> list[int]:
+    """det H(1), ..., det H(n) of an integer moment sequence, in one pass.
+
+    The pass stops at a zero pivot, which is itself the minor of that
+    order; the larger minors then come from det_int.
+    """
     if not 1 <= n <= MAX_DET_SIZE:
         raise SizeGuardError(f"size must be in [1, {MAX_DET_SIZE}]")
     values = [moments(k) for k in range(2 * n - 1)]
-    return _bareiss([values[i:i + n] for i in range(n)])[0]
+    mat = [values[i:i + n] for i in range(n)]
+    minors = [minor for minor, _ in _bareiss(mat)]
+    return minors + [det_int([row[:k] for row in mat[:k]])
+                     for k in range(len(minors) + 1, n + 1)]
 
 
-def hankel_det(moments: MomentFunctional, n: int) -> int:
+def hankel_det(moments: Moments, n: int) -> int:
     return hankel_minors(moments, n)[-1]
 
 
 def verify_det_identities(n_max: int) -> VerifyReport:
     """det H(n) of the mu Hankel: sign formula and the mirror symmetry."""
     report = VerifyReport("dets", n_max)
-    moments = mu_moments()
-    dets = dict(enumerate(hankel_minors(moments, n_max), start=1))
+    dets = dict(enumerate(hankel_minors(seq.mu, n_max), start=1))
     for n, val in dets.items():
         want = (-1) ** (n * (n - 1) // 2)
         if val != want:
             report.add(n, 0, want, val)
-    if n_max >= 2 and dets[2] != -1:
-        report.add(2, 0, -1, dets[2])
     k = 1
     while (1 << k) <= n_max:
         p = 1 << k
@@ -644,10 +611,11 @@ def orth_polys(n: int) -> list[list[int]]:
         row = [si * int(mmat[i, k]) * seq.s(k) * (-1) ** (k % 2)
                for k in range(i + 1)]
         rows.append(row)
-    functional = mu_moments()
     for i in range(n):
         for j in range(i + 1):
-            pairing = functional.pair(rows[i], rows[j])
+            pairing = sum(a * b * seq.mu(k + m)
+                          for k, a in enumerate(rows[i]) if a
+                          for m, b in enumerate(rows[j]) if b)
             if i == j and pairing == 0:
                 raise InvariantError("nonzero norm of the orthogonal "
                                      "polynomial", (i, i), "nonzero", 0)
@@ -683,21 +651,26 @@ def uniqueness_check(c: Sequence[int]) -> UniquenessResult:
 
     If every computable det is +-1, recovers eps_k = c[2^k - 1] and
     requires every other entry to vanish; otherwise reports the first
-    violated determinant or off-pattern entry.
+    violated determinant or off-pattern entry.  The minors of each matrix
+    come from one Bareiss pass, which stops at the first one that is not
+    +-1.  The length must be in [2, MAX_UNIQUE_LEN]: a passing sequence
+    of 2048 entries, two full passes of order 1024, took 31 s and 54 MB
+    peak RSS on a 2-vCPU Xeon (Python 3.11) in a slow phase of the shared
+    host, where hankel_minors(seq.mu, 1024) took 16 s, not its usual 6.8 s.
     """
-    if len(c) < 2:
-        raise ValueError("need at least two terms")
+    length = len(c)
+    if not 2 <= length <= MAX_UNIQUE_LEN:
+        raise SizeGuardError(f"length must be in [2, {MAX_UNIQUE_LEN}], "
+                             f"got {length}")
     if any(v not in (-1, 0, 1) for v in c):
         raise ValueError("entries must lie in {-1, 0, +1}")
-    length = len(c)
-    for n in range(1, (length + 1) // 2 + 1):
-        det = det_int([[c[i + j] for j in range(n)] for i in range(n)])
-        if det not in (-1, 1):
-            return UniquenessResult(False, None, n, "hankel")
-    for n in range(1, length // 2 + 1):
-        det = det_int([[c[i + j + 1] for j in range(n)] for i in range(n)])
-        if det not in (-1, 1):
-            return UniquenessResult(False, None, n, "shifted-hankel")
+    c = list(c)
+    for shift, which in ((0, "hankel"), (1, "shifted-hankel")):
+        n = (length - shift + 1) // 2
+        mat = [c[i + shift:i + shift + n] for i in range(n)]
+        for order, (minor, _) in enumerate(_bareiss(mat), start=1):
+            if minor not in (-1, 1):
+                return UniquenessResult(False, None, order, which)
     eps = []
     for m, v in enumerate(c):
         if (m + 1) & m == 0:  # m = 2^k - 1
@@ -721,13 +694,8 @@ def uniqueness_search(length: int) -> list[tuple[int, ...]]:
 
     def newly_complete(prefix: list[int]) -> bool:
         m = len(prefix) - 1  # index just placed
-        if m % 2 == 0:
-            n = m // 2 + 1
-            det = det_int([[prefix[i + j] for j in range(n)] for i in range(n)])
-        else:
-            n = (m + 1) // 2
-            det = det_int([[prefix[i + j + 1] for j in range(n)]
-                           for i in range(n)])
+        shift, n = m % 2, m // 2 + 1
+        det = det_int([prefix[i + shift:i + shift + n] for i in range(n)])
         return det in (-1, 1)
 
     def descend(prefix: list[int]) -> None:

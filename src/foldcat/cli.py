@@ -87,8 +87,7 @@ def _cmd_word(args) -> int:
     if args.format == "json":
         print(json.dumps([[let.var_index, let.sign] for let in letters]))
     else:
-        joiner = "," if args.format == "csv" else " "
-        print(joiner.join(_letter_str(let) for let in letters))
+        print(_emit_values([_letter_str(let) for let in letters], args.format))
     return 0
 
 
@@ -116,29 +115,24 @@ def _cmd_hankel(args) -> int:
 
 def _cmd_cf(args) -> int:
     series = cfseries.cf_limit_example(args.example, args.order)
-    if args.format == "json":
-        print(json.dumps(series.to_strings()))
-    else:
-        joiner = "," if args.format == "csv" else " "
-        print(joiner.join(series.to_strings()))
+    print(_emit_values(series.to_strings(), args.format))
     return 0
 
 
 def _cmd_jacobi(args) -> int:
-    cf = cfseries.stieltjes_extract(cfseries.mu_moments(), args.depth)
+    cf = cfseries.stieltjes_extract(seq.mu, args.depth)
     a = [str(v) for v in cf.a]
     b = [str(v) for v in cf.b]
     if args.format == "json":
         print(json.dumps({"a": a, "b": b}))
     else:
-        joiner = "," if args.format == "csv" else " "
-        print("a: " + joiner.join(a))
-        print("b: " + joiner.join(b))
+        print("a: " + _emit_values(a, args.format))
+        print("b: " + _emit_values(b, args.format))
     return 0
 
 
 def _cmd_dets(args) -> int:
-    values = cfseries.hankel_minors(cfseries.mu_moments(), args.max)
+    values = cfseries.hankel_minors(seq.mu, args.max)
     print(_emit_values(values, args.format))
     return 0
 

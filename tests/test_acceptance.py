@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from foldcat import catalanz, cfseries, gf2sign, seq
-from foldcat.cfseries import (cf_limit_example, hankel_det, mu_moments,
+from foldcat.cfseries import (cf_limit_example, hankel_det,
                               power_of_two_series, stieltjes_extract,
                               uniqueness_check, uniqueness_search)
 

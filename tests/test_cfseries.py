@@ -1,7 +1,9 @@
 """Series engine, continued fractions, Hankel LU, uniqueness search."""
 
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -11,11 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldcat import catalanz, cfseries, seq
-from foldcat.cfseries import (Mat2, MomentFunctional, MultiPoly, TruncSeries,
-                              catalan_moments, cf_limit, cf_limit_example,
-                              det_int, hankel_det, hankel_lu_rational,
-                              hankel_minors, jacobi_series, mu_moments,
-                              mu_series, mu_shifted_moments, orth_polys,
+from foldcat.cfseries import (Mat2, MultiPoly, TruncSeries, cf_limit,
+                              cf_limit_example, det_int, hankel_det,
+                              hankel_lu_rational, hankel_minors,
+                              jacobi_series, mu_series, orth_polys,
                               power_of_two_series, stieltjes_extract,
                               uniqueness_check, uniqueness_search,
                               word_matrix, x_polys)
@@ -325,27 +326,29 @@ def test_jacobi_series_reproduces_mu():
     assert got == mu_series(64)
 
 
-def test_moment_functional_pairing():
-    f = MomentFunctional(lambda k: k + 1)
-    # <1 + x, x> = m1 + m2 = 2 + 3
-    assert f.pair([1, 1], [0, 1]) == 5
-    assert f(3) == 4
+# the moment sequences of the paper, as the callables cfseries takes
+def _mu_shifted(k):
+    return seq.mu(k + 1)
+
+
+MOMENTS = {"mu_moments": seq.mu, "catalan_moments": catalanz.catalan,
+           "mu_shifted_moments": _mu_shifted}
 
 
 def test_hankel_lu_catalan_golden():
-    low, diag = hankel_lu_rational(catalan_moments(), 3)
+    low, diag = hankel_lu_rational(catalanz.catalan, 3)
     assert [row[:i + 1] for i, row in enumerate(low)] == \
         [[1], [1, 1], [2, 3, 1]]
     assert diag == [1, 1, 1]
 
 
 def test_hankel_lu_mu_diag():
-    low, diag = hankel_lu_rational(mu_moments(), 4)
+    low, diag = hankel_lu_rational(seq.mu, 4)
     assert diag == [1, -1, 1, -1]
 
 
 def test_hankel_lu_reconstructs_matrix():
-    for moments in (mu_moments(), catalan_moments(), mu_shifted_moments()):
+    for moments in MOMENTS.values():
         n = 8
         low, diag = hankel_lu_rational(moments, n)
         for i in range(n):
@@ -355,24 +358,23 @@ def test_hankel_lu_reconstructs_matrix():
 
 
 def test_hankel_lu_singular_minor():
-    flat = MomentFunctional(lambda k: 1)
     with pytest.raises(SingularMinorError):
-        hankel_lu_rational(flat, 2)
+        hankel_lu_rational(lambda k: 1, 2)
 
 
 def test_hankel_lu_guard():
     with pytest.raises(SizeGuardError):
-        hankel_lu_rational(mu_moments(), cfseries.MAX_LU_SIZE + 1)
+        hankel_lu_rational(seq.mu, cfseries.MAX_LU_SIZE + 1)
 
 
 def test_stieltjes_catalan_coefficients():
-    cf = stieltjes_extract(catalan_moments(), 10)
+    cf = stieltjes_extract(catalanz.catalan, 10)
     assert cf.a == [1] + [2] * 9
     assert cf.b == [1] * 9
 
 
 def test_stieltjes_mu_matches_quotient_sequence():
-    cf = stieltjes_extract(mu_moments(), 16)
+    cf = stieltjes_extract(seq.mu, 16)
     assert cf.a == [seq.d(k) for k in range(1, 17)]
     assert cf.b == [-1] * 15
 
@@ -385,10 +387,10 @@ def test_mu_jacobi_verification(n):
 def test_stieltjes_depth_guard_names_real_limit():
     # depth n factors H(n + 1), so the LU limit caps the depth one lower
     assert cfseries.MAX_JACOBI_DEPTH == cfseries.MAX_LU_SIZE - 1
-    assert len(stieltjes_extract(mu_moments(), 63).a) == 63
+    assert len(stieltjes_extract(seq.mu, 63).a) == 63
     for n in (0, 64):
         with pytest.raises(SizeGuardError, match=r"\[1, 63\]"):
-            stieltjes_extract(mu_moments(), n)
+            stieltjes_extract(seq.mu, n)
 
 
 # The Fraction L D L^t that hankel_lu_rational ran before it read L and D
@@ -411,12 +413,11 @@ def _oracle_hankel_ldl(moments, n):
     return low, diag
 
 
-@pytest.mark.parametrize("make", [mu_moments, catalan_moments,
-                                  mu_shifted_moments])
-def test_hankel_lu_matches_fraction_oracle(make):
+@pytest.mark.parametrize("moments", list(MOMENTS.values()), ids=list(MOMENTS))
+def test_hankel_lu_matches_fraction_oracle(moments):
     for n in (1, 2, 5, 8, 17, 33):
-        assert _outcome(lambda: hankel_lu_rational(make(), n)) == \
-            _outcome(lambda: _oracle_hankel_ldl(make(), n)), n
+        assert _outcome(lambda: hankel_lu_rational(moments, n)) == \
+            _outcome(lambda: _oracle_hankel_ldl(moments, n)), n
 
 
 @given(st.integers(1, 8).flatmap(
@@ -426,7 +427,7 @@ def test_hankel_lu_matches_fraction_oracle(make):
 @settings(max_examples=150)
 def test_hankel_lu_random_moments_match_fraction_oracle(case):
     n, values = case
-    moments = MomentFunctional(values.__getitem__)
+    moments = values.__getitem__
     assert _outcome(lambda: hankel_lu_rational(moments, n)) == \
         _outcome(lambda: _oracle_hankel_ldl(moments, n))
 
@@ -434,7 +435,7 @@ def test_hankel_lu_random_moments_match_fraction_oracle(case):
 def test_hankel_lu_rational_moments_match_fraction_oracle():
     values = [Fraction(3, 2), Fraction(-1, 3), Fraction(5, 4), Fraction(2),
               Fraction(-7, 6), Fraction(1, 9), Fraction(4, 5)]
-    moments = MomentFunctional(values.__getitem__)
+    moments = values.__getitem__
     assert hankel_lu_rational(moments, 4) == _oracle_hankel_ldl(moments, 4)
 
 
@@ -454,7 +455,7 @@ def test_stieltjes_check_localises_a_corrupted_entry(monkeypatch):
     # the entry-by-entry check L(n) T == L_minus(n) can see it, at (4, 1)
     _perturbed_lu(monkeypatch, 5, 1)
     with pytest.raises(InvariantError) as info:
-        stieltjes_extract(mu_moments(), 8)
+        stieltjes_extract(seq.mu, 8)
     assert info.value.where == (4, 1)
     assert (info.value.expected, info.value.got) == (1, 0)
 
@@ -468,7 +469,7 @@ def test_stieltjes_det_check_raises(monkeypatch):
 
     monkeypatch.setattr(cfseries, "hankel_lu_rational", scaled_diag)
     with pytest.raises(InvariantError, match="prod b_k"):
-        stieltjes_extract(mu_moments(), 3)
+        stieltjes_extract(seq.mu, 3)
 
 
 def test_stieltjes_check_survives_optimized_mode():
@@ -484,19 +485,24 @@ def test_stieltjes_check_survives_optimized_mode():
             return low, diag
         cfseries.hankel_lu_rational = corrupted
         try:
-            cfseries.stieltjes_extract(cfseries.mu_moments(), 8)
+            cfseries.stieltjes_extract(cfseries.seq.mu, 8)
         except InvariantError as exc:
             print(sys.flags.optimize, exc.where, exc.expected, exc.got)
         else:
             print(sys.flags.optimize, "no error")
     """)
+    assert _run_python(script, "-O").split() == ["1", "(4,", "1)", "1", "0"]
+
+
+def _run_python(script, *options):
+    """stdout of a fresh interpreter running script with foldcat importable."""
     src = os.path.dirname(os.path.dirname(cfseries.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    out = subprocess.run([sys.executable, *options, "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1", "(4,", "1)", "1", "0"]
+    return out.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +545,25 @@ def _det_fraction(rows):
 
 def test_hankel_det_sign_formula():
     for n in range(1, 17):
-        assert hankel_det(mu_moments(), n) == (-1) ** (n * (n - 1) // 2)
+        assert hankel_det(seq.mu, n) == (-1) ** (n * (n - 1) // 2)
 
 
 def test_det_identities_suite():
     assert cfseries.verify_det_identities(20).ok
+
+
+def test_det_identities_report_a_wrong_det_once(monkeypatch):
+    real = cfseries.hankel_minors
+
+    def wrong_h2(moments, n):
+        minors = real(moments, n)
+        minors[1] = 5
+        return minors
+
+    monkeypatch.setattr(cfseries, "hankel_minors", wrong_h2)
+    report = cfseries.verify_det_identities(8)
+    assert [(f.expected, f.got) for f in report.failures
+            if (f.i, f.j) == (2, 0)] == [(-1, 5)]
 
 
 def _leading_block(mat, k):
@@ -556,24 +576,35 @@ def _leading_block(mat, k):
 @settings(max_examples=150)
 def test_bareiss_minors_match_det_int(mat):
     n = len(mat)
-    minors, cols = cfseries._bareiss(mat)
-    assert minors == [det_int(_leading_block(mat, k)) for k in range(1, n + 1)]
+    steps = list(cfseries._bareiss(mat))
+    want = [det_int(_leading_block(mat, k)) for k in range(1, n + 1)]
+    # one step per order up to and including the first zero minor
+    stop = want.index(0) + 1 if 0 in want else n
+    assert [minor for minor, _ in steps] == want[:stop]
     # column j holds the bordered minors det(rows 0..j-1 and i, cols 0..j)
-    for j, col in enumerate(cols):
+    for j, (_, col) in enumerate(steps):
         assert col == [det_int([mat[r][:j + 1] for r in list(range(j)) + [i]])
                        for i in range(j, n)]
-    if 0 in minors:
-        assert len(cols) == minors.index(0)
 
 
-def test_bareiss_singular_leading_block_falls_back():
-    mat = [[1, 2, 3, 1], [2, 4, 1, 0], [0, 1, 5, 2], [1, 0, 2, 3]]
+def test_bareiss_steps_run_only_when_asked():
+    mat = [[1, 2, 3], [2, 4, 1], [0, 1, 5]]
+    steps = cfseries._bareiss(mat)
+    assert next(steps) == (1, [1, 2, 0])
+    assert next(steps) == (0, [0, 1])      # det [[1, 2], [2, 4]] == 0
+    with pytest.raises(StopIteration):
+        next(steps)
+    assert mat == [[1, 2, 3], [2, 4, 1], [0, 1, 5]]
+
+
+def test_hankel_minors_singular_leading_block_falls_back():
+    # H(2) = [[1, 2], [2, 4]] is singular and det H(3) = -(3 - 8)^2
+    values = [1, 2, 4, 3, 5, 7, 6]
+    mat = [values[i:i + 4] for i in range(4)]
     want = [det_int(_leading_block(mat, k)) for k in range(1, 5)]
-    assert want[1] == 0 and want[2] != 0
-    minors, cols = cfseries._bareiss(mat)
-    assert minors == want
-    assert len(cols) == 1
-    assert cfseries._bareiss(mat, all_minors=False) == (want[:2], cols)
+    assert want[:3] == [1, 0, -25] and want[3] != 0
+    assert len(list(cfseries._bareiss(mat))) == 2
+    assert hankel_minors(values.__getitem__, 4) == want
 
 
 def test_hankel_minors_guard():
@@ -581,12 +612,11 @@ def test_hankel_minors_guard():
     for n in (0, -3, cfseries.MAX_DET_SIZE + 1):
         with pytest.raises(SizeGuardError,
                            match=rf"\[1, {cfseries.MAX_DET_SIZE}\]"):
-            hankel_minors(mu_moments(), n)
+            hankel_minors(seq.mu, n)
 
 
 def test_hankel_minors_one_pass_matches_each_det():
-    for make in (mu_moments, catalan_moments, mu_shifted_moments):
-        moments = make()
+    for moments in MOMENTS.values():
         want = [det_int([[moments(i + j) for j in range(n)] for i in range(n)])
                 for n in range(1, 25)]
         assert hankel_minors(moments, 24) == want
@@ -607,9 +637,10 @@ def test_orth_polys_first_rows():
 
 def test_orth_polys_norms_are_signs():
     rows = orth_polys(12)
-    f = mu_moments()
     for k, row in enumerate(rows):
-        assert f.pair(row, row) == (-1) ** k
+        norm = sum(a * b * seq.mu(i + j) for i, a in enumerate(row)
+                   for j, b in enumerate(row))
+        assert norm == (-1) ** k
 
 
 def test_orth_polys_guard():
@@ -664,6 +695,91 @@ def test_uniqueness_check_validation():
         uniqueness_check([1])
     with pytest.raises(ValueError):
         uniqueness_check([1, 2, 1])
+
+
+def test_uniqueness_check_length_guard_rejects_before_any_work(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def no_work(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(cfseries, "_bareiss", no_work)
+    monkeypatch.setattr(cfseries, "det_int", no_work)
+    limit = cfseries.MAX_UNIQUE_LEN
+    for length in (0, 1, limit + 1, 4 * limit):
+        with pytest.raises(SizeGuardError,
+                           match=rf"\[2, {limit}\], got {length}$"):
+            uniqueness_check([0] * length)
+    with pytest.raises(Admitted):
+        uniqueness_check([0, 0])
+
+
+# The uniqueness check as it was before it read its minors from one
+# Bareiss pass: a fresh det_int per order; kept as the oracle.
+
+def _oracle_uniqueness_check(c):
+    length = len(c)
+    for n in range(1, (length + 1) // 2 + 1):
+        det = det_int([[c[i + j] for j in range(n)] for i in range(n)])
+        if det not in (-1, 1):
+            return cfseries.UniquenessResult(False, None, n, "hankel")
+    for n in range(1, length // 2 + 1):
+        det = det_int([[c[i + j + 1] for j in range(n)] for i in range(n)])
+        if det not in (-1, 1):
+            return cfseries.UniquenessResult(False, None, n, "shifted-hankel")
+    eps = []
+    for m, v in enumerate(c):
+        if (m + 1) & m == 0:
+            eps.append(v)
+        elif v != 0:
+            return cfseries.UniquenessResult(False, None, m, "pattern")
+    return cfseries.UniquenessResult(True, eps, None, None)
+
+
+def test_uniqueness_check_matches_oracle_on_every_short_sequence():
+    count = 0
+    for length in range(2, 10):
+        for c in itertools.product((-1, 0, 1), repeat=length):
+            assert uniqueness_check(c) == _oracle_uniqueness_check(c), c
+            count += 1
+    assert count == 29520
+
+
+def test_uniqueness_check_matches_oracle_on_perturbed_patterns():
+    rng = random.Random(10)
+    for length in (2, 3, 7, 8, 16, 31, 33, 64, 100, 128):
+        eps = [rng.choice((-1, 1)) for _ in range(8)]
+        base = pattern_sequence(eps, length)
+        assert uniqueness_check(base) == _oracle_uniqueness_check(base)
+        positions = {0, 1, length - 2, length - 1} | \
+            {rng.randrange(length) for _ in range(2)}
+        for m in sorted(positions):
+            v = rng.choice([v for v in (-1, 0, 1) if v != base[m]])
+            c = base[:m] + [v] + base[m + 1:]
+            assert uniqueness_check(c) == _oracle_uniqueness_check(c), \
+                (length, m, v)
+
+
+def test_uniqueness_check_stops_at_the_first_bad_minor():
+    # in a fresh interpreter: the 1024 x 1024 Hankel of 2048 entries would
+    # raise this process's peak RSS, which child processes started from it
+    # inherit in their wait4 ru_maxrss (see test_cli's 2048 suites)
+    script = textwrap.dedent("""
+        import random
+        from foldcat import cfseries
+        real = cfseries._bareiss
+        steps = []
+        def counted(mat):
+            for step in real(mat):
+                steps.append(step[0])
+                yield step
+        cfseries._bareiss = counted
+        rng = random.Random(11)
+        c = [1, 1, -1] + [rng.choice((-1, 1)) for _ in range(2045)]
+        print(tuple(cfseries.uniqueness_check(c)), steps)
+    """)
+    assert _run_python(script) == "(False, None, 2, 'hankel') [1, -2]\n"
 
 
 def test_uniqueness_search_small():

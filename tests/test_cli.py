@@ -192,6 +192,60 @@ def test_unique_check_bad_token_is_usage_error(capsys):
     assert "'abc'" in err and "Traceback" not in err
 
 
+def test_unique_check_length_guard_rejects_before_any_work(capsys,
+                                                           monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a determinant ran for a rejected length")
+
+    monkeypatch.setattr(cfseries, "_bareiss", no_work)
+    monkeypatch.setattr(cfseries, "det_int", no_work)
+    limit = cfseries.MAX_UNIQUE_LEN
+    assert limit == 2 * cfseries.MAX_DET_SIZE
+    for length in (1, limit + 1):
+        code, out, err = run_cli(capsys, "unique", "--check",
+                                 ",".join(["0"] * length))
+        assert code == 3, length
+        assert out == ""
+        assert f"[2, {limit}], got {length}" in err
+        assert "Traceback" not in err
+
+
+# stdout of the commands whose plain and csv output goes through
+# cli._emit_values, as they printed before that routing
+_EMITTED = {
+    ("cf", "--example", "1", "--order", "12"): (
+        "0 1 1 0 1 0 0 0 1 0 0 0\n",
+        "0,1,1,0,1,0,0,0,1,0,0,0\n",
+        '["0", "1", "1", "0", "1", "0", "0", "0", "1", "0", "0", "0"]\n'),
+    ("cf", "--example", "2", "--order", "12"): (
+        "0 1 0 1 0 0 0 0 0 1 0 0\n",
+        "0,1,0,1,0,0,0,0,0,1,0,0\n",
+        '["0", "1", "0", "1", "0", "0", "0", "0", "0", "1", "0", "0"]\n'),
+    ("cf", "--example", "3", "--order", "12"): (
+        "0 1 1 0 0 0 1 0 0 0 0 0\n",
+        "0,1,1,0,0,0,1,0,0,0,0,0\n",
+        '["0", "1", "1", "0", "0", "0", "1", "0", "0", "0", "0", "0"]\n'),
+    ("word", "--level", "3"): (
+        "-x1 x1 x2 -x2 x1 -x1 x3 -x3 -x1 x1 -x2 x2 x1 -x1\n",
+        "-x1,x1,x2,-x2,x1,-x1,x3,-x3,-x1,x1,-x2,x2,x1,-x1\n",
+        "[[1, -1], [1, 1], [2, 1], [2, -1], [1, 1], [1, -1], [3, 1], "
+        "[3, -1], [1, -1], [1, 1], [2, -1], [2, 1], [1, 1], [1, -1]]\n"),
+    ("jacobi", "--depth", "8"): (
+        "a: 1 -2 0 0 2 0 -2 0\nb: -1 -1 -1 -1 -1 -1 -1\n",
+        "a: 1,-2,0,0,2,0,-2,0\nb: -1,-1,-1,-1,-1,-1,-1\n",
+        '{"a": ["1", "-2", "0", "0", "2", "0", "-2", "0"], '
+        '"b": ["-1", "-1", "-1", "-1", "-1", "-1", "-1"]}\n'),
+}
+
+
+@pytest.mark.parametrize("argv", list(_EMITTED))
+def test_emitted_output_is_unchanged(capsys, argv):
+    for fmt, want in zip(("plain", "csv", "json"), _EMITTED[argv]):
+        code, out, _ = run_cli(capsys, "--format", fmt, *argv)
+        assert code == 0
+        assert out == want, fmt
+
+
 def test_verify_checks_every_suite_size_before_running(capsys, monkeypatch):
     real = cli._suite_runners
 
