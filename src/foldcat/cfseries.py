@@ -23,9 +23,9 @@ MAX_VARS = 6
 CF_STEP_BUDGET = 10 * MAX_WORD_LEN
 MAX_LU_SIZE = 64
 MAX_JACOBI_DEPTH = MAX_LU_SIZE - 1   # the depth-n extraction factors H(n + 1)
-# one Bareiss pass over the 1024 x 1024 mu Hankel: 6.8 s and 54 MB peak RSS
-# on a 2-vCPU Xeon (Python 3.11); the time grows as n^3
-MAX_DET_SIZE = 1024
+# foldcat dets --max 2048, the Stieltjes table of the mu moments: 0.9-1.1 s
+# and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11); the time grows as n^2
+MAX_DET_SIZE = 2048
 # uniqueness_check reads Hankel minors up to the order that MAX_DET_SIZE admits
 MAX_UNIQUE_LEN = 2 * MAX_DET_SIZE
 # cf_limit_example(1, 10000), the slowest example (time grows as order^2):
@@ -398,32 +398,63 @@ def jacobi_series(a: Sequence, b: Sequence, order: int,
 Moments = Callable[[int], int | Fraction]
 
 
+def _ratio(p, q):
+    """p / q exactly: an int where q divides the int p, else a Fraction."""
+    if type(p) is int and type(q) is int:
+        quo, rem = divmod(p, q)
+        return Fraction(p, q) if rem else quo
+    return Fraction(p, q)
+
+
+def _stieltjes(moments: Moments, count: int) -> Iterator[tuple]:
+    """The Stieltjes table of the first count moments, one column per step.
+
+    Chebyshev's algorithm (Gautschi 2004, sec. 2.1.7): sigma(k, l) =
+    <x^l, p_k> for the monic orthogonal polynomials p_k, so by uniqueness
+    of H = L D L^t, sigma(k, l) = L[l][k] D_k and sigma(k, l) det H(k) is
+    the bordered minor det(rows 0..k-1 and l, columns 0..k).  Step k yields
+    the pivot D_k = sigma(k, k), the minor det H(k+1) = D_0 ... D_k and the
+    column sigma(k, l), l = k..count-1-k.  From p_(k+1) = (x - a_k) p_k -
+    b_k p_(k-1), column k+1 is sigma(k, l+1) - a_k sigma(k, l) -
+    b_k sigma(k-1, l), a_k = sigma(k, k+1)/D_k - sigma(k-1, k)/D_(k-1) and
+    b_k = D_k/D_(k-1).  Each step runs only when it is asked for, and a
+    zero pivot is the last step yielded.
+    """
+    col = [moments(k) for k in range(count)]
+    prev = [0] * count                     # sigma(-1, l)
+    pivot_prev, ratio_prev, minor = 1, 0, 1
+    while col:
+        pivot = col[0]
+        minor *= pivot
+        yield pivot, minor, col
+        if pivot == 0 or len(col) < 3:
+            return
+        ratio = _ratio(col[1], pivot)
+        a, b = ratio - ratio_prev, _ratio(pivot, pivot_prev)
+        prev, col = col, [col[i + 1] - a * col[i] - b * prev[i + 1]
+                          for i in range(1, len(col) - 1)]
+        pivot_prev, ratio_prev = pivot, ratio
+
+
 def hankel_lu_rational(moments: Moments,
                        n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Exact L D L^t factorization of the n-th Hankel matrix.
 
     Returns unipotent lower-triangular L (dense row lists) and the
     diagonal D; raises SingularMinorError on a vanishing leading minor.
-    Both come from one Bareiss pass over the Hankel matrix scaled to
-    integers: L[i][j] = col_j[i] / Delta_(j+1), D_j = Delta_(j+1) / Delta_j.
+    Both are read from the Stieltjes table: D_k = sigma(k, k) and
+    L[l][k] = sigma(k, l) / D_k.
     """
     if not 1 <= n <= MAX_LU_SIZE:
         raise SizeGuardError(f"size must be in [1, {MAX_LU_SIZE}]")
-    values = [Fraction(moments(k)) for k in range(2 * n - 1)]
-    # scaling H by c scales Delta_k by c^k and leaves L unchanged
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
     low = [[Fraction(0)] * n for _ in range(n)]
     diag: list[Fraction] = []
-    prev = 1
-    rows = [ints[i:i + n] for i in range(n)]
-    for j, (minor, col) in enumerate(_bareiss(rows)):
-        if minor == 0:
-            raise SingularMinorError(j)
-        diag.append(Fraction(minor, prev * scale))
-        for i, v in enumerate(col, start=j):
-            low[i][j] = Fraction(v, minor)
-        prev = minor
+    for k, (pivot, _, col) in enumerate(_stieltjes(moments, 2 * n - 1)):
+        if pivot == 0:
+            raise SingularMinorError(k)
+        diag.append(Fraction(pivot))
+        for l, v in enumerate(col[:n - k], start=k):
+            low[l][k] = Fraction(v, pivot)
     return low, diag
 
 
@@ -521,51 +552,16 @@ def det_int(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _bareiss(mat: list[list[int]]) -> Iterator[tuple[int, list[int]]]:
-    """Leading principal minors of a square integer matrix, one per step.
-
-    Fraction-free Bareiss elimination without pivoting (Bareiss 1968):
-    step j yields its pivot, the leading minor Delta_(j+1), and the column
-    it eliminates, which holds the bordered minors det(rows 0..j-1 and i,
-    columns 0..j) for i >= j.  Each step runs only when it is asked for,
-    and a zero pivot is the last step yielded.
-    """
-    work = mat
-    prev = 1
-    while work:
-        top = work[0]
-        pivot = top[0]
-        yield pivot, [row[0] for row in work]
-        if pivot == 0:
-            return
-        # each new entry is (x * pivot - f * y) // prev, exactly; where f or
-        # y is zero that is x * pivot // prev, so only rows with f != 0 need
-        # the full update, and only in the nonzero columns of the pivot row
-        nonzero = [(j, y) for j, y in enumerate(top[1:]) if y]
-        rows = []
-        for row in work[1:]:
-            f, rest = row[0], row[1:]
-            new = rest if pivot == prev else [x * pivot // prev for x in rest]
-            if f:
-                for j, y in nonzero:
-                    new[j] = (rest[j] * pivot - f * y) // prev
-            rows.append(new)
-        work = rows
-        prev = pivot
-
-
 def hankel_minors(moments: Moments, n: int) -> list[int]:
-    """det H(1), ..., det H(n) of an integer moment sequence, in one pass.
-
-    The pass stops at a zero pivot, which is itself the minor of that
-    order; the larger minors then come from det_int.
-    """
+    """det H(1), ..., det H(n) of an integer moment sequence: the Stieltjes
+    table up to its first zero minor, then det_int for the larger orders."""
     if not 1 <= n <= MAX_DET_SIZE:
         raise SizeGuardError(f"size must be in [1, {MAX_DET_SIZE}]")
     values = [moments(k) for k in range(2 * n - 1)]
-    mat = [values[i:i + n] for i in range(n)]
-    minors = [minor for minor, _ in _bareiss(mat)]
-    return minors + [det_int([row[:k] for row in mat[:k]])
+    # int() is exact: the minors of an integer Hankel matrix are integers
+    minors = [int(minor) for _, minor, _ in
+              _stieltjes(values.__getitem__, 2 * n - 1)]
+    return minors + [det_int([values[i:i + k] for i in range(k)])
                      for k in range(len(minors) + 1, n + 1)]
 
 
@@ -581,17 +577,13 @@ def verify_det_identities(n_max: int) -> VerifyReport:
         want = (-1) ** (n * (n - 1) // 2)
         if val != want:
             report.add(n, 0, want, val)
-    k = 1
-    while (1 << k) <= n_max:
+    for k in range(1, n_max.bit_length()):
         p = 1 << k
-        for a in range(0, p):
-            if p + a > n_max or p - a < 1:
-                continue
+        for a in range(min(p, n_max - p + 1)):
             lhs = dets[p + a]
             rhs = (-1) ** a * dets[p - a]
             if lhs != rhs:
                 report.add(p + a, p - a, rhs, lhs)
-        k += 1
     return report
 
 
@@ -652,11 +644,10 @@ def uniqueness_check(c: Sequence[int]) -> UniquenessResult:
     If every computable det is +-1, recovers eps_k = c[2^k - 1] and
     requires every other entry to vanish; otherwise reports the first
     violated determinant or off-pattern entry.  The minors of each matrix
-    come from one Bareiss pass, which stops at the first one that is not
-    +-1.  The length must be in [2, MAX_UNIQUE_LEN]: a passing sequence
-    of 2048 entries, two full passes of order 1024, took 31 s and 54 MB
-    peak RSS on a 2-vCPU Xeon (Python 3.11) in a slow phase of the shared
-    host, where hankel_minors(seq.mu, 1024) took 16 s, not its usual 6.8 s.
+    come from its Stieltjes table, which stops at the first one that is not
+    +-1.  The length must be in [2, MAX_UNIQUE_LEN]: foldcat unique --check
+    with a passing sequence of 4096 entries, two tables of order 2048, took
+    1.6-1.8 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11).
     """
     length = len(c)
     if not 2 <= length <= MAX_UNIQUE_LEN:
@@ -666,9 +657,8 @@ def uniqueness_check(c: Sequence[int]) -> UniquenessResult:
         raise ValueError("entries must lie in {-1, 0, +1}")
     c = list(c)
     for shift, which in ((0, "hankel"), (1, "shifted-hankel")):
-        n = (length - shift + 1) // 2
-        mat = [c[i + shift:i + shift + n] for i in range(n)]
-        for order, (minor, _) in enumerate(_bareiss(mat), start=1):
+        table = _stieltjes(c[shift:].__getitem__, length - shift)
+        for order, (_, minor, _) in enumerate(table, start=1):
             if minor not in (-1, 1):
                 return UniquenessResult(False, None, order, which)
     eps = []

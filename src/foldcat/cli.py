@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from typing import Callable
@@ -339,6 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
+    # argparse takes "-1,1,0,1" for an option, not a value, so a --check
+    # sequence that starts with a negative entry is joined to its flag
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--check" and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = ["--check=" + argv[i]]
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

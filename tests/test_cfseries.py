@@ -571,30 +571,44 @@ def _leading_block(mat, k):
 
 
 @given(st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
+    lambda n: st.lists(st.integers(-4, 4), min_size=2 * n - 1,
+                       max_size=2 * n - 1)))
 @settings(max_examples=150)
-def test_bareiss_minors_match_det_int(mat):
-    n = len(mat)
-    steps = list(cfseries._bareiss(mat))
+def test_stieltjes_minors_match_det_int(values):
+    count = len(values)
+    n = (count + 1) // 2
+    mat = [values[i:i + n] for i in range(n)]
+    steps = list(cfseries._stieltjes(values.__getitem__, count))
     want = [det_int(_leading_block(mat, k)) for k in range(1, n + 1)]
     # one step per order up to and including the first zero minor
     stop = want.index(0) + 1 if 0 in want else n
-    assert [minor for minor, _ in steps] == want[:stop]
-    # column j holds the bordered minors det(rows 0..j-1 and i, cols 0..j)
-    for j, (_, col) in enumerate(steps):
-        assert col == [det_int([mat[r][:j + 1] for r in list(range(j)) + [i]])
-                       for i in range(j, n)]
+    assert [minor for _, minor, _ in steps] == want[:stop]
+    # sigma(k, l) Delta_k is the bordered minor det(rows 0..k-1 and l,
+    # cols 0..k), for every l = k..count-1-k of column k
+    for k, (pivot, _, col) in enumerate(steps):
+        delta = want[k - 1] if k else 1
+        assert pivot == col[0]
+        assert [v * delta for v in col] == \
+            [det_int([values[r:r + k + 1] for r in list(range(k)) + [l]])
+             for l in range(k, count - k)]
 
 
-def test_bareiss_steps_run_only_when_asked():
-    mat = [[1, 2, 3], [2, 4, 1], [0, 1, 5]]
-    steps = cfseries._bareiss(mat)
-    assert next(steps) == (1, [1, 2, 0])
-    assert next(steps) == (0, [0, 1])      # det [[1, 2], [2, 4]] == 0
+def test_stieltjes_steps_run_only_when_asked():
+    values = [1, 2, 4, 3, 5]
+    calls = []
+
+    def moments(k):
+        calls.append(k)
+        return values[k]
+
+    steps = cfseries._stieltjes(moments, 5)
+    assert calls == []
+    assert next(steps) == (1, 1, [1, 2, 4, 3, 5])
+    assert next(steps) == (0, 0, [0, -5, -1])   # det [[1, 2], [2, 4]] == 0
     with pytest.raises(StopIteration):
         next(steps)
-    assert mat == [[1, 2, 3], [2, 4, 1], [0, 1, 5]]
+    assert calls == [0, 1, 2, 3, 4]
+    assert values == [1, 2, 4, 3, 5]
 
 
 def test_hankel_minors_singular_leading_block_falls_back():
@@ -603,7 +617,7 @@ def test_hankel_minors_singular_leading_block_falls_back():
     mat = [values[i:i + 4] for i in range(4)]
     want = [det_int(_leading_block(mat, k)) for k in range(1, 5)]
     assert want[:3] == [1, 0, -25] and want[3] != 0
-    assert len(list(cfseries._bareiss(mat))) == 2
+    assert len(list(cfseries._stieltjes(values.__getitem__, 7))) == 2
     assert hankel_minors(values.__getitem__, 4) == want
 
 
@@ -613,6 +627,12 @@ def test_hankel_minors_guard():
         with pytest.raises(SizeGuardError,
                            match=rf"\[1, {cfseries.MAX_DET_SIZE}\]"):
             hankel_minors(seq.mu, n)
+
+
+def test_hankel_minors_at_the_size_limit_match_the_sign_formula():
+    n = cfseries.MAX_DET_SIZE
+    assert hankel_minors(seq.mu, n) == [(-1) ** (k * (k - 1) // 2)
+                                        for k in range(1, n + 1)]
 
 
 def test_hankel_minors_one_pass_matches_each_det():
@@ -704,7 +724,7 @@ def test_uniqueness_check_length_guard_rejects_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise Admitted
 
-    monkeypatch.setattr(cfseries, "_bareiss", no_work)
+    monkeypatch.setattr(cfseries, "_stieltjes", no_work)
     monkeypatch.setattr(cfseries, "det_int", no_work)
     limit = cfseries.MAX_UNIQUE_LEN
     for length in (0, 1, limit + 1, 4 * limit):
@@ -716,7 +736,7 @@ def test_uniqueness_check_length_guard_rejects_before_any_work(monkeypatch):
 
 
 # The uniqueness check as it was before it read its minors from one
-# Bareiss pass: a fresh det_int per order; kept as the oracle.
+# pass per matrix: a fresh det_int per order; kept as the oracle.
 
 def _oracle_uniqueness_check(c):
     length = len(c)
@@ -761,25 +781,36 @@ def test_uniqueness_check_matches_oracle_on_perturbed_patterns():
                 (length, m, v)
 
 
-def test_uniqueness_check_stops_at_the_first_bad_minor():
-    # in a fresh interpreter: the 1024 x 1024 Hankel of 2048 entries would
-    # raise this process's peak RSS, which child processes started from it
-    # inherit in their wait4 ru_maxrss (see test_cli's 2048 suites)
-    script = textwrap.dedent("""
-        import random
-        from foldcat import cfseries
-        real = cfseries._bareiss
-        steps = []
-        def counted(mat):
-            for step in real(mat):
-                steps.append(step[0])
-                yield step
-        cfseries._bareiss = counted
-        rng = random.Random(11)
-        c = [1, 1, -1] + [rng.choice((-1, 1)) for _ in range(2045)]
-        print(tuple(cfseries.uniqueness_check(c)), steps)
-    """)
-    assert _run_python(script) == "(False, None, 2, 'hankel') [1, -2]\n"
+def test_uniqueness_check_at_the_length_limit():
+    length = cfseries.MAX_UNIQUE_LEN
+    rng = random.Random(12)
+    eps = [rng.choice((-1, 1)) for _ in range(length.bit_length())]
+    c = pattern_sequence(eps, length)
+    assert uniqueness_check(c) == (True, eps, None, None)
+    # the last entry is the corner of the shifted Hankel of order length/2
+    # alone, and changing it moves that minor by +-1 off +-1
+    c[-1] = 0 if c[-1] else 1
+    assert uniqueness_check(c) == \
+        (False, None, length // 2, "shifted-hankel")
+
+
+def test_uniqueness_check_stops_at_the_first_bad_minor(monkeypatch):
+    # a sequence of the longest admitted length whose Hankel minor of
+    # order 2 is -2: the table must be left after its second step
+    real = cfseries._stieltjes
+    steps = []
+
+    def counted(moments, count):
+        for step in real(moments, count):
+            steps.append(step[1])
+            yield step
+
+    monkeypatch.setattr(cfseries, "_stieltjes", counted)
+    rng = random.Random(11)
+    c = [1, 1, -1] + [rng.choice((-1, 1))
+                      for _ in range(cfseries.MAX_UNIQUE_LEN - 3)]
+    assert tuple(uniqueness_check(c)) == (False, None, 2, "hankel")
+    assert steps == [1, -2]
 
 
 def test_uniqueness_search_small():

@@ -3,9 +3,9 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -151,9 +151,9 @@ def test_dets_output(capsys):
 
 def test_dets_guard_rejects_before_any_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("elimination ran for a rejected size")
+        raise AssertionError("the table ran for a rejected size")
 
-    monkeypatch.setattr(cfseries, "_bareiss", no_work)
+    monkeypatch.setattr(cfseries, "_stieltjes", no_work)
     limit = cfseries.MAX_DET_SIZE
     for value in ("0", "-3", str(limit + 1)):
         code, out, err = run_cli(capsys, "dets", "--max", value)
@@ -169,6 +169,11 @@ def test_unique_check_pass_and_fail(capsys):
     code, out, _ = run_cli(capsys, "unique", "--check", "1,1,1")
     assert code == 1
     assert out.startswith("FAIL")
+
+
+def test_unique_check_takes_a_leading_negative_entry(capsys):
+    code, out, err = run_cli(capsys, "unique", "--check", "-1,1,0,1")
+    assert (code, out, err) == (0, "PASS eps=-1,1,1\n", "")
 
 
 def test_unique_search_output(capsys):
@@ -197,7 +202,7 @@ def test_unique_check_length_guard_rejects_before_any_work(capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("a determinant ran for a rejected length")
 
-    monkeypatch.setattr(cfseries, "_bareiss", no_work)
+    monkeypatch.setattr(cfseries, "_stieltjes", no_work)
     monkeypatch.setattr(cfseries, "det_int", no_work)
     limit = cfseries.MAX_UNIQUE_LEN
     assert limit == 2 * cfseries.MAX_DET_SIZE
@@ -364,29 +369,52 @@ def test_verify_deterministic_up_to_timing(capsys):
     assert strip_elapsed(first) == strip_elapsed(second)
 
 
+# Linux carries the high-water RSS of the process that spawns a child into
+# the child's ru_maxrss at exec, so the CLI is spawned by a small
+# intermediate interpreter, not by pytest, and its peak is read from that
+# interpreter's RUSAGE_CHILDREN
+_PEAK_RSS_SCRIPT = """
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "foldcat.cli", *sys.argv[1:]],
+                      capture_output=True, text=True, timeout=120)
+peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak_kb]))
+"""
+
+
+def _cli_peak_rss(*argv):
+    """(exit code, stdout, stderr, peak RSS in MB) of one CLI call."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=150)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err, peak_kb = json.loads(proc.stdout)
+    return code, out, err, peak_kb / 1024  # kB on Linux
+
+
+def test_cli_peak_rss_excludes_the_test_process():
+    argv = ("seq", "--kind", "s", "--count", "6")
+    before = _cli_peak_rss(*argv)
+    blob = b"\1" * (128 << 20)  # written, so this process's peak passes 128 MB
+    try:
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss > 128 << 10
+        after = _cli_peak_rss(*argv)
+    finally:
+        del blob
+    assert before[:3] == after[:3] == (0, "1 1 -1 1 -1 -1\n", "")
+    assert after[3] < 64 and abs(after[3] - before[3]) < 8
+
+
 @pytest.mark.parametrize("suite", ["thm3", "ml-lm"])
 def test_verify_2048_stays_small(suite):
     # the product suites stream over packed row blocks; with n x n int64
     # products these two peaked at 142 and 218 MB (about 30 MB of either
     # is the interpreter and numpy)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "foldcat.cli", "--format", "json", "verify",
-         "--suite", suite, "--size", "2048"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    # reaped with wait4 for its resource usage, so no Popen wait or timeout
-    timer = threading.Timer(120, proc.kill)
-    timer.start()
-    try:
-        out, err = proc.stdout.read(), proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        timer.cancel()
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    proc.stdout.close()
-    proc.stderr.close()
-    assert proc.returncode == 0, err
+    code, out, err, peak_mb = _cli_peak_rss(
+        "--format", "json", "verify", "--suite", suite, "--size", "2048")
+    assert code == 0, err
     assert json.loads(out)["pass"] is True
-    assert usage.ru_maxrss / 1024 < 80  # kB on Linux
+    assert peak_mb < 80
