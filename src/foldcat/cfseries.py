@@ -22,10 +22,12 @@ MAX_WORD_LEN = 2 * ((1 << 12) - 1)
 MAX_VARS = 6
 CF_STEP_BUDGET = 10 * MAX_WORD_LEN
 MAX_LU_SIZE = 64
-MAX_JACOBI_DEPTH = MAX_LU_SIZE - 1   # the depth-n extraction factors H(n + 1)
 # foldcat dets --max 2048, the Stieltjes table of the mu moments: 0.9-1.1 s
 # and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11); the time grows as n^2
 MAX_DET_SIZE = 2048
+# depth n reads the table of H(n + 1); foldcat jacobi --depth 2047: 1.0-1.4 s
+# and 30.5 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
+MAX_JACOBI_DEPTH = MAX_DET_SIZE - 1
 # uniqueness_check reads Hankel minors up to the order that MAX_DET_SIZE admits
 MAX_UNIQUE_LEN = 2 * MAX_DET_SIZE
 # cf_limit_example(1, 10000), the slowest example (time grows as order^2):
@@ -35,6 +37,13 @@ MAX_CF_ORDER = 10000
 
 # ---------------------------------------------------------------------------
 # sparse truncated power series with exact coefficients
+
+def _exact(c):
+    """c as an int where it is integral, else as a Fraction: through
+    Fraction, so that no float or string becomes a coefficient."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
 
 def _add_shifted_into(out: dict, terms: dict, c, e: int, order: int) -> dict:
     """out += c * x^e * terms below the order, in place, keeping out sparse:
@@ -60,11 +69,9 @@ class TruncSeries:
     def __init__(self, coeffs: Sequence, order: int | None = None):
         if order is None:
             order = len(coeffs)
-        # through Fraction, so that no float or string becomes a coefficient
-        cs = (Fraction(c) for c in coeffs[:order])
         self.order = order
-        self.terms = {k: c.numerator if c.denominator == 1 else c
-                      for k, c in enumerate(cs) if c}
+        self.terms = {k: c for k, c in enumerate(map(_exact, coeffs[:order]))
+                      if c}
 
     @classmethod
     def _of(cls, terms: dict, order: int) -> "TruncSeries":
@@ -381,8 +388,8 @@ def jacobi_series(a: Sequence, b: Sequence, order: int,
     p_cur, q_cur = TruncSeries([], order), TruncSeries([1], order)
     for k in range(depth):
         # next = (1 - a_k x) cur + num prev, num = -b_k x^2, or 1 at k = 0
-        minus_a = -Fraction(a[k])
-        num, e = (-Fraction(b[k - 1]), 2) if k else (1, 0)
+        minus_a = -_exact(a[k])
+        num, e = (-_exact(b[k - 1]), 2) if k else (1, 0)
         p_cur, p_prev = (p_cur.add_shifted(p_cur, minus_a, 1)
                          .add_shifted(p_prev, num, e)), p_cur
         q_cur, q_prev = (q_cur.add_shifted(q_cur, minus_a, 1)
@@ -413,20 +420,21 @@ def _stieltjes(moments: Moments, count: int) -> Iterator[tuple]:
     <x^l, p_k> for the monic orthogonal polynomials p_k, so by uniqueness
     of H = L D L^t, sigma(k, l) = L[l][k] D_k and sigma(k, l) det H(k) is
     the bordered minor det(rows 0..k-1 and l, columns 0..k).  Step k yields
-    the pivot D_k = sigma(k, k), the minor det H(k+1) = D_0 ... D_k and the
-    column sigma(k, l), l = k..count-1-k.  From p_(k+1) = (x - a_k) p_k -
-    b_k p_(k-1), column k+1 is sigma(k, l+1) - a_k sigma(k, l) -
-    b_k sigma(k-1, l), a_k = sigma(k, k+1)/D_k - sigma(k-1, k)/D_(k-1) and
-    b_k = D_k/D_(k-1).  Each step runs only when it is asked for, and a
-    zero pivot is the last step yielded.
+    the pivot D_k = sigma(k, k), the minor det H(k+1) = D_0 ... D_k, the
+    column sigma(k, l), l = k..count-1-k, and the a_(k-1), b_(k-1) that
+    made it (None at step 0).  From p_(k+1) = (x - a_k) p_k - b_k p_(k-1),
+    column k+1 is sigma(k, l+1) - a_k sigma(k, l) - b_k sigma(k-1, l),
+    a_k = sigma(k, k+1)/D_k - sigma(k-1, k)/D_(k-1) and b_k = D_k/D_(k-1)
+    (b_0 = m_0).  Each step runs only when it is asked for, and a zero
+    pivot is the last step yielded.
     """
     col = [moments(k) for k in range(count)]
     prev = [0] * count                     # sigma(-1, l)
-    pivot_prev, ratio_prev, minor = 1, 0, 1
+    pivot_prev, ratio_prev, minor, a, b = 1, 0, 1, None, None
     while col:
         pivot = col[0]
         minor *= pivot
-        yield pivot, minor, col
+        yield pivot, minor, col, a, b
         if pivot == 0 or len(col) < 3:
             return
         ratio = _ratio(col[1], pivot)
@@ -449,7 +457,7 @@ def hankel_lu_rational(moments: Moments,
         raise SizeGuardError(f"size must be in [1, {MAX_LU_SIZE}]")
     low = [[Fraction(0)] * n for _ in range(n)]
     diag: list[Fraction] = []
-    for k, (pivot, _, col) in enumerate(_stieltjes(moments, 2 * n - 1)):
+    for k, (pivot, _, col, *_) in enumerate(_stieltjes(moments, 2 * n - 1)):
         if pivot == 0:
             raise SingularMinorError(k)
         diag.append(Fraction(pivot))
@@ -464,46 +472,31 @@ class JacobiCF(NamedTuple):
 
 
 def stieltjes_extract(moments: Moments, n: int) -> JacobiCF:
-    """Three-term recursion coefficients from the Hankel LU factor.
+    """The Jacobi fraction m_0/(1 - a_0 x - b_1 x^2/(1 - a_1 x - ...)) of
+    depth n, read off the Stieltjes table of H(n + 1).
 
-    With L the unipotent factor of H(n + 1), the Stieltjes matrix
-    S = L(n)^{-1} L_minus(n) (L_minus is L without its first row) must be
-    tridiagonal with unit superdiagonal, a on the diagonal and b below it.
-    a and b are read from the band of L, then L(n) T == L_minus(n) is
-    checked entry by entry for that tridiagonal T, which holds exactly when
-    S == T.  Also validates det H(n) == prod b_k^(n-k) against the LU
-    diagonal.
+    Steps 1..n of the table carry a_0..a_(n-1) and b_0 = m_0, b_1..b_(n-1);
+    step n is taken so that a zero pivot D_n raises SingularMinorError(n).
+    The table assumes its own recursion, so its coefficients are checked
+    against the moments: the fraction of depth n agrees with the moment
+    series through x^(2n-1) (Flajolet 1980), and those 2n moments fix a and
+    b.  So m_0 jacobi_series(a, b, 2n) must reproduce m_0..m_(2n-1), and the
+    first moment that differs raises InvariantError at its index.
     """
     if not 1 <= n <= MAX_JACOBI_DEPTH:
         raise SizeGuardError(f"depth must be in [1, {MAX_JACOBI_DEPTH}]")
-    low, diag = hankel_lu_rational(moments, n + 1)
-    a: list[Fraction] = []
-    b: list[Fraction] = []
-    for i in range(n):
-        sub = low[i][i - 1] if i else 0
-        a.append(low[i + 1][i] - sub)
-        if i:
-            sub2 = low[i][i - 2] if i > 1 else 0
-            b.append(low[i + 1][i - 1] - sub2 - sub * a[i - 1])
-    for i in range(n):
-        row = low[i]
-        for j in range(n):
-            got = row[j] * a[j]
-            if j:
-                got += row[j - 1]
-            if j + 1 < n:
-                got += row[j + 1] * b[j]
-            if got != low[i + 1][j]:
-                raise InvariantError("L(n) T == L_minus(n), T tridiagonal",
-                                     (i, j), low[i + 1][j], got)
-    det_lu = Fraction(1)
-    for k in range(n):
-        det_lu *= diag[k]
-    det_cf = Fraction(1)
-    for k in range(1, n):
-        det_cf *= b[k - 1] ** (n - k)
-    if det_lu != det_cf:
-        raise InvariantError("det H(n) == prod b_k^(n-k)", n, det_lu, det_cf)
+    a, b = [], []
+    for k, (pivot, *_, a_k, b_k) in enumerate(_stieltjes(moments, 2 * n + 1)):
+        if pivot == 0:
+            raise SingularMinorError(k)
+        if k:
+            a.append(Fraction(a_k))
+            b.append(Fraction(b_k))
+    m0, b = b[0], b[1:]
+    for l, c in enumerate(jacobi_series(a, b, 2 * n).coeffs):
+        if m0 * c != moments(l):
+            raise InvariantError("m_0 J(a, b) == sum of m_l x^l", l,
+                                 moments(l), m0 * c)
     return JacobiCF(a, b)
 
 
@@ -559,7 +552,7 @@ def hankel_minors(moments: Moments, n: int) -> list[int]:
         raise SizeGuardError(f"size must be in [1, {MAX_DET_SIZE}]")
     values = [moments(k) for k in range(2 * n - 1)]
     # int() is exact: the minors of an integer Hankel matrix are integers
-    minors = [int(minor) for _, minor, _ in
+    minors = [int(minor) for _, minor, *_ in
               _stieltjes(values.__getitem__, 2 * n - 1)]
     return minors + [det_int([values[i:i + k] for i in range(k)])
                      for k in range(len(minors) + 1, n + 1)]
@@ -658,7 +651,7 @@ def uniqueness_check(c: Sequence[int]) -> UniquenessResult:
     c = list(c)
     for shift, which in ((0, "hankel"), (1, "shifted-hankel")):
         table = _stieltjes(c[shift:].__getitem__, length - shift)
-        for order, (_, minor, _) in enumerate(table, start=1):
+        for order, (_, minor, *_) in enumerate(table, start=1):
             if minor not in (-1, 1):
                 return UniquenessResult(False, None, order, which)
     eps = []

@@ -341,10 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     parser = build_parser()
     # argparse takes "-1,1,0,1" for an option, not a value, so a --check
-    # sequence that starts with a negative entry is joined to its flag
+    # sequence that starts with a negative entry is joined to its flag, in
+    # full or abbreviated as unique's parser accepts it (--c .. --chec)
     argv = list(argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--check" and re.match(r"-\d", argv[i]):
+        flag = argv[i - 1]
+        if len(flag) > 2 and "--check".startswith(flag) \
+                and "unique" in argv[:i - 1] and re.match(r"-\d", argv[i]):
             argv[i - 1:i + 1] = ["--check=" + argv[i]]
     try:
         args = parser.parse_args(argv)

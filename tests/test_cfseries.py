@@ -384,13 +384,88 @@ def test_mu_jacobi_verification(n):
     assert cfseries.verify_thm4(n).ok
 
 
-def test_stieltjes_depth_guard_names_real_limit():
-    # depth n factors H(n + 1), so the LU limit caps the depth one lower
-    assert cfseries.MAX_JACOBI_DEPTH == cfseries.MAX_LU_SIZE - 1
-    assert len(stieltjes_extract(seq.mu, 63).a) == 63
-    for n in (0, 64):
-        with pytest.raises(SizeGuardError, match=r"\[1, 63\]"):
+def test_stieltjes_depth_guard_names_real_limit(monkeypatch):
+    # depth n reads the table of H(n + 1), so the minor limit caps the
+    # depth one lower; the guard runs before the table
+    def no_work(*args, **kwargs):
+        raise AssertionError("the table ran for a rejected depth")
+
+    monkeypatch.setattr(cfseries, "_stieltjes", no_work)
+    assert cfseries.MAX_JACOBI_DEPTH == cfseries.MAX_DET_SIZE - 1 == 2047
+    for n in (0, -3, 2048):
+        with pytest.raises(SizeGuardError, match=r"\[1, 2047\]"):
             stieltjes_extract(seq.mu, n)
+
+
+def test_stieltjes_mu_at_depth_1024():
+    cf = stieltjes_extract(seq.mu, 1024)
+    assert cf.a == [seq.d(k) for k in range(1, 1025)]
+    assert cf.b == [-1] * 1023
+
+
+def test_stieltjes_takes_a_scaled_first_moment():
+    # a and b do not depend on m_0; det H(n) is m_0^n prod b_k^(n-k)
+    cf = stieltjes_extract(lambda k: 2 * catalanz.catalan(k), 5)
+    assert cf == ([1, 2, 2, 2, 2], [1, 1, 1, 1])
+    for n in (1, 3):
+        assert stieltjes_extract(lambda k: -seq.mu(k), n) == \
+            stieltjes_extract(seq.mu, n)
+
+
+# The extraction that read a and b from the band of the dense Fraction L of
+# hankel_lu_rational and checked L(n) T == L_minus(n) entry by entry; kept
+# as the oracle.
+
+def _oracle_stieltjes_extract(moments, n):
+    low, _ = hankel_lu_rational(moments, n + 1)
+    a, b = [], []
+    for i in range(n):
+        sub = low[i][i - 1] if i else 0
+        a.append(low[i + 1][i] - sub)
+        if i:
+            sub2 = low[i][i - 2] if i > 1 else 0
+            b.append(low[i + 1][i - 1] - sub2 - sub * a[i - 1])
+    for i in range(n):
+        row = low[i]
+        for j in range(n):
+            got = row[j] * a[j]
+            if j:
+                got += row[j - 1]
+            if j + 1 < n:
+                got += row[j + 1] * b[j]
+            if got != low[i + 1][j]:
+                raise InvariantError("L(n) T == L_minus(n), T tridiagonal",
+                                     (i, j), low[i + 1][j], got)
+    return cfseries.JacobiCF(a, b)
+
+
+def _exact_outcome(call):
+    """repr of the value of call(), or the type, message and index of the
+    error it raised."""
+    try:
+        return repr(call())
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc), getattr(exc, "k", None), \
+            getattr(exc, "where", None)
+
+
+@pytest.mark.parametrize("moments", list(MOMENTS.values()), ids=list(MOMENTS))
+def test_stieltjes_matches_dense_oracle(moments):
+    for n in range(1, 64):
+        assert _exact_outcome(lambda: stieltjes_extract(moments, n)) == \
+            _exact_outcome(lambda: _oracle_stieltjes_extract(moments, n)), n
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-3, 3),
+                                             min_size=2 * n,
+                                             max_size=2 * n))))
+@settings(max_examples=300)
+def test_stieltjes_random_moments_match_dense_oracle(case):
+    n, values = case
+    moments = [1, *values].__getitem__
+    assert _exact_outcome(lambda: stieltjes_extract(moments, n)) == \
+        _exact_outcome(lambda: _oracle_stieltjes_extract(moments, n))
 
 
 # The Fraction L D L^t that hankel_lu_rational ran before it read L and D
@@ -439,37 +514,61 @@ def test_hankel_lu_rational_moments_match_fraction_oracle():
     assert hankel_lu_rational(moments, 4) == _oracle_hankel_ldl(moments, 4)
 
 
-def _perturbed_lu(monkeypatch, row, col):
-    real = cfseries.hankel_lu_rational
+def _corrupted_table(monkeypatch, edit):
+    """Make _stieltjes yield edit(k, step) for each step k of the table."""
+    real = cfseries._stieltjes
 
-    def corrupted(moments, n):
-        low, diag = real(moments, n)
-        low[row][col] += 1
-        return low, diag
+    def corrupted(moments, count):
+        for k, step in enumerate(real(moments, count)):
+            yield edit(k, step)
 
-    monkeypatch.setattr(cfseries, "hankel_lu_rational", corrupted)
+    monkeypatch.setattr(cfseries, "_stieltjes", corrupted)
 
 
 def test_stieltjes_check_localises_a_corrupted_entry(monkeypatch):
-    # L[5][1] lies off the band the coefficients are read from, so only
-    # the entry-by-entry check L(n) T == L_minus(n) can see it, at (4, 1)
-    _perturbed_lu(monkeypatch, 5, 1)
+    # sigma(1, 6) lies off the band; the table builds its later columns from
+    # it as if m_7 were one larger, so the expansion is off first at m_7
+    def off_band(k, step):
+        if k == 1:
+            step[2][6 - k] += 1
+        return step
+
+    _corrupted_table(monkeypatch, off_band)
     with pytest.raises(InvariantError) as info:
         stieltjes_extract(seq.mu, 8)
-    assert info.value.where == (4, 1)
+    assert info.value.where == 7
+    assert (info.value.expected, info.value.got) == (1, 2)
+
+
+def test_stieltjes_check_catches_a_doubled_pivot(monkeypatch):
+    # a doubled D_3 doubles b_3 = D_3/D_2, which step 4 carries, and halves
+    # b_4, which step 5 carries; b_3 first weighs on the moment m_6
+    scale = {4: 2, 5: Fraction(1, 2)}
+
+    def doubled(k, step):
+        pivot, minor, col, a, b = step
+        if k == 3:
+            pivot, minor = 2 * pivot, 2 * minor
+        return pivot, minor, col, a, scale[k] * b if k in scale else b
+
+    _corrupted_table(monkeypatch, doubled)
+    with pytest.raises(InvariantError) as info:
+        stieltjes_extract(seq.mu, 8)
+    assert info.value.where == 6
+    assert (info.value.expected, info.value.got) == (0, -1)
+
+
+def test_stieltjes_check_reaches_the_last_moment(monkeypatch):
+    # a_7, which step 8 carries, first weighs on m_15 = m_(2n-1) at n = 8
+    def last_a(k, step):
+        pivot, minor, col, a, b = step
+        return pivot, minor, col, a + 1 if k == 8 else a, b
+
+    _corrupted_table(monkeypatch, last_a)
+    with pytest.raises(InvariantError) as info:
+        stieltjes_extract(seq.mu, 8)
+    assert info.value.where == 15
     assert (info.value.expected, info.value.got) == (1, 0)
-
-
-def test_stieltjes_det_check_raises(monkeypatch):
-    real = cfseries.hankel_lu_rational
-
-    def scaled_diag(moments, n):
-        low, diag = real(moments, n)
-        return low, [2 * d for d in diag]
-
-    monkeypatch.setattr(cfseries, "hankel_lu_rational", scaled_diag)
-    with pytest.raises(InvariantError, match="prod b_k"):
-        stieltjes_extract(seq.mu, 3)
 
 
 def test_stieltjes_check_survives_optimized_mode():
@@ -478,12 +577,13 @@ def test_stieltjes_check_survives_optimized_mode():
         import sys
         from foldcat import cfseries
         from foldcat.errors import InvariantError
-        real = cfseries.hankel_lu_rational
-        def corrupted(moments, n):
-            low, diag = real(moments, n)
-            low[5][1] += 1
-            return low, diag
-        cfseries.hankel_lu_rational = corrupted
+        real = cfseries._stieltjes
+        def corrupted(moments, count):
+            for k, step in enumerate(real(moments, count)):
+                if k == 1:
+                    step[2][5] += 1
+                yield step
+        cfseries._stieltjes = corrupted
         try:
             cfseries.stieltjes_extract(cfseries.seq.mu, 8)
         except InvariantError as exc:
@@ -491,7 +591,7 @@ def test_stieltjes_check_survives_optimized_mode():
         else:
             print(sys.flags.optimize, "no error")
     """)
-    assert _run_python(script, "-O").split() == ["1", "(4,", "1)", "1", "0"]
+    assert _run_python(script, "-O").split() == ["1", "7", "1", "2"]
 
 
 def _run_python(script, *options):
@@ -582,10 +682,10 @@ def test_stieltjes_minors_match_det_int(values):
     want = [det_int(_leading_block(mat, k)) for k in range(1, n + 1)]
     # one step per order up to and including the first zero minor
     stop = want.index(0) + 1 if 0 in want else n
-    assert [minor for _, minor, _ in steps] == want[:stop]
+    assert [minor for _, minor, *_ in steps] == want[:stop]
     # sigma(k, l) Delta_k is the bordered minor det(rows 0..k-1 and l,
     # cols 0..k), for every l = k..count-1-k of column k
-    for k, (pivot, _, col) in enumerate(steps):
+    for k, (pivot, _, col, *_) in enumerate(steps):
         delta = want[k - 1] if k else 1
         assert pivot == col[0]
         assert [v * delta for v in col] == \
@@ -603,8 +703,9 @@ def test_stieltjes_steps_run_only_when_asked():
 
     steps = cfseries._stieltjes(moments, 5)
     assert calls == []
-    assert next(steps) == (1, 1, [1, 2, 4, 3, 5])
-    assert next(steps) == (0, 0, [0, -5, -1])   # det [[1, 2], [2, 4]] == 0
+    # step k carries a_(k-1) and b_(k-1); a_0 = 2/1, b_0 = m_0
+    assert next(steps) == (1, 1, [1, 2, 4, 3, 5], None, None)
+    assert next(steps) == (0, 0, [0, -5, -1], 2, 1)   # det H(2) == 0
     with pytest.raises(StopIteration):
         next(steps)
     assert calls == [0, 1, 2, 3, 4]

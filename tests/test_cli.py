@@ -133,14 +133,22 @@ def test_jacobi_output(capsys):
     assert data["b"] == ["-1"] * 5
 
 
-def test_jacobi_depth_guard_names_real_limit(capsys):
-    code, out, _ = run_cli(capsys, "jacobi", "--depth", "63")
-    assert code == 0
-    assert len(out.splitlines()[0].split()) == 1 + 63
-    code, out, err = run_cli(capsys, "jacobi", "--depth", "64")
-    assert code == 3
-    assert out == ""
-    assert "[1, 63]" in err and "Traceback" not in err
+def test_jacobi_depth_guard_names_real_limit(capsys, monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def no_work(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(cfseries, "_stieltjes", no_work)
+    with pytest.raises(Admitted):
+        run_cli(capsys, "jacobi", "--depth", "2047")
+    for value in ("0", "2048"):
+        code, out, err = run_cli(capsys, "jacobi", "--depth", value)
+        assert code == 3, value
+        assert out == ""
+        assert "depth must be in [1, 2047]" in err
+        assert "Traceback" not in err
 
 
 def test_dets_output(capsys):
@@ -172,8 +180,17 @@ def test_unique_check_pass_and_fail(capsys):
 
 
 def test_unique_check_takes_a_leading_negative_entry(capsys):
-    code, out, err = run_cli(capsys, "unique", "--check", "-1,1,0,1")
-    assert (code, out, err) == (0, "PASS eps=-1,1,1\n", "")
+    # in full, or abbreviated as argparse accepts it
+    for flag in ("--check", "--c", "--ch", "--che", "--chec"):
+        code, out, err = run_cli(capsys, "unique", flag, "-1,1,0,1")
+        assert (code, out, err) == (0, "PASS eps=-1,1,1\n", ""), flag
+
+
+def test_seq_count_abbreviation_is_not_taken_for_check(capsys):
+    # --c abbreviates --count in seq, so its negative value reaches the guard
+    code, out, err = run_cli(capsys, "seq", "--kind", "mu", "--c", "-5")
+    assert (code, out) == (3, "")
+    assert "count must be in [1, " in err
 
 
 def test_unique_search_output(capsys):
