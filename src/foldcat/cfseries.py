@@ -580,6 +580,24 @@ def verify_det_identities(n_max: int) -> VerifyReport:
     return report
 
 
+def three_term_break(rows: Sequence[list], a: Sequence,
+                     b: Sequence) -> tuple[int, list] | None:
+    """The first i >= 1 at which the coefficient list rows[i] (constant term
+    first) is not p_i = (x - a_(i-1)) p_(i-1) - b_(i-1) p_(i-2), with
+    p_(-1) = 0, as (i, the list the recursion gives); None when every row
+    obeys it.  A row is compared as a whole list, so one of another length
+    breaks the recursion."""
+    prev: list = []
+    for i, (cur, row) in enumerate(zip(rows, rows[1:])):
+        # x p_i, p_i and p_(i-1), each padded to the i + 2 terms of p_(i+1)
+        want = [x - a[i] * c - b[i] * p
+                for x, c, p in zip([0, *cur], [*cur, 0], [*prev, 0, 0])]
+        if want != row:
+            return i + 1, want
+        prev = cur
+    return None
+
+
 def orth_polys(n: int) -> list[list[int]]:
     """Coefficient rows of the formal orthogonal polynomials for mu.
 
@@ -607,17 +625,11 @@ def orth_polys(n: int) -> list[list[int]]:
             if i != j and pairing != 0:
                 raise InvariantError("orthogonality of the polynomials",
                                      (i, j), 0, pairing)
-    for i in range(2, n):
-        prev, cur = rows[i - 2], rows[i - 1]
-        dn = seq.d(i)
-        want = [0] * (i + 1)
-        for k, c in enumerate(cur):
-            want[k + 1] += c
-            want[k] -= dn * c
-        for k, c in enumerate(prev):
-            want[k] += c
-        if want != rows[i]:
-            raise InvariantError("three-term recursion", i, want, rows[i])
+    broken = three_term_break(rows, [seq.d(i) for i in range(1, n)],
+                              [-1] * n)
+    if broken is not None:
+        i, want = broken
+        raise InvariantError("three-term recursion", i, want, rows[i])
     return rows
 
 

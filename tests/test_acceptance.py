@@ -135,18 +135,20 @@ def test_09_determinant_identities():
 # Budgets of gates 10 and 11: ten times the summed median time of their
 # calls in BENCH_5.json ("gate_calls": 0.41 s and 0.43 s), rounded up to a
 # whole second.  The benchmark sizes (catalan-lu at 128, exp-products and
-# log-conjecture at 64) run beside the CLI sizes at 48; gate 11 also runs
-# the guard's limit, 128, within the same budget.
+# log-conjecture at 64) run beside the CLI sizes at 48, and each gate also
+# runs its suite's guard limit within the same budget: catalan-lu at 512 in
+# gate 10, log-conjecture at 128 in gate 11.
 def test_10_catalan_factorizations():
     def check():
         problems = []
-        for n in (48, 128):
+        for n in (48, 128, catalanz.MAX_CATALAN_LU_SIZE):
             problems += report_problems(catalanz.verify_catalan_lu(n))
         for n in (48, 64):
             problems += report_problems(catalanz.verify_exp_products(n))
         return problems
-    gate(10, "integer Catalan factorizations at 48 and 128, exponentials at "
-         "48 and 64", 5, check)
+    gate(10, "integer Catalan factorizations at 48, 128 and "
+         f"{catalanz.MAX_CATALAN_LU_SIZE}, exponentials at 48 and 64", 5,
+         check)
 
 
 def test_11_log_stripes_conjecture():

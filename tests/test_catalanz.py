@@ -165,7 +165,8 @@ def test_gf_mod2_guard():
 
 def test_matrix_size_guard():
     with pytest.raises(SizeGuardError):
-        catalanz.build_catalan_matrix(catalanz.LZ, catalanz.MAX_MATRIX_SIZE + 1)
+        catalanz.build_catalan_matrix(catalanz.LZ,
+                                      catalanz.MAX_CATALAN_LU_SIZE + 1)
     with pytest.raises(ValueError):
         catalanz.build_catalan_matrix("bogus", 4)
 
@@ -397,8 +398,9 @@ def test_verifier_guard_precedes_any_build(monkeypatch, verifier):
         raise AssertionError("built a matrix before the size guard")
 
     monkeypatch.setattr(catalanz, "build_catalan_matrix", no_build)
-    for n in (0, catalanz.MAX_MATRIX_SIZE + 1):
-        with pytest.raises(SizeGuardError, match=r"\[1, 128\]"):
+    limit = 512 if verifier is catalanz.verify_catalan_lu else 128
+    for n in (0, limit + 1):
+        with pytest.raises(SizeGuardError, match=rf"\[1, {limit}\]"):
             verifier(n)
 
 
@@ -570,3 +572,130 @@ def test_log_path_decides_outside_the_premise(monkeypatch):
     assert calls == [n, n]
     assert _failures(report) == [(3, 2, 0, 10), (3, 2, 0, 12)]
     assert report.as_dict() == old_log_report(n).as_dict()
+
+
+# ---------------------------------------------------------------------------
+# the Stieltjes-table certificates behind verify_catalan_lu
+
+_lower_gram = catalanz._lower_gram
+_lower_matmul = catalanz._lower_matmul
+
+
+def lu_products(n):
+    """L L^t, L~ L~^t, L D_a M D_a and L~ D_a M~ D_a at size n."""
+    lmat, mmat, lt, mt = catalanz._factors(n)
+    return (_lower_gram(lmat), _lower_gram(lt),
+            _lower_matmul(lmat, catalanz._alt_conj(mmat)),
+            _lower_matmul(lt, catalanz._alt_conj(mt)))
+
+
+def product_lu_report(n, products=None):
+    """verify_catalan_lu before the certificates: all four products compared
+    entry by entry, kept as the oracle of its reports.  products may be
+    lu_products at a larger size: every factor is lower-triangular and the
+    leading block of a larger one, so the products at n are their leading
+    n x n blocks."""
+    report = catalanz.VerifyReport("catalan-lu", n)
+    wants = (catalanz.build_catalan_matrix(catalanz.H_CAT, n),
+             catalanz.build_catalan_matrix(catalanz.H_CAT_SHIFT, n),
+             catalanz._identity(n), catalanz._identity(n))
+    for got, want in zip(products or lu_products(n), wants):
+        report.compare(got[:n, :n], want)
+    return report
+
+
+def _spy_products(monkeypatch, allowed=True):
+    """Record each product verify_catalan_lu forms, by name; with allowed
+    False, forming one fails the test."""
+    calls = []
+
+    def spy(name, kernel):
+        def run(*mats):
+            if not allowed:
+                raise AssertionError(f"{name} on a passing run")
+            calls.append(name)
+            return kernel(*mats)
+        return run
+
+    monkeypatch.setattr(catalanz, "_lower_gram", spy("gram", _lower_gram))
+    monkeypatch.setattr(catalanz, "_lower_matmul",
+                        spy("matmul", _lower_matmul))
+    return calls
+
+
+def test_lu_report_matches_product_path_at_every_size(monkeypatch):
+    top = 128
+    products = lu_products(top)
+    _spy_products(monkeypatch, allowed=False)
+    for n in range(1, top + 1):
+        report = catalanz.verify_catalan_lu(n)
+        assert report.ok
+        assert report.as_dict() == product_lu_report(n, products).as_dict(), n
+
+
+def _lu_flips(kind, n):
+    """Entries of an n x n matrix of the given kind to flip: those of
+    _flips, one on the first subdiagonal and, for a Hankel matrix, some on
+    its first row and last column (which the moments are read from) and
+    one above the diagonal off them."""
+    last = n - 1
+    cells = set(_flips(n))
+    if n > 1:
+        cells.add((n // 2, n // 2 - 1))
+    if kind in (catalanz.H_CAT, catalanz.H_CAT_SHIFT):
+        cells |= {(0, last // 2), (0, last), (last // 2, last),
+                  (n // 3, n // 2)}
+    return sorted(cells)
+
+
+@pytest.mark.parametrize("kind", [catalanz.LZ, catalanz.MZ, catalanz.LTILDEZ,
+                                  catalanz.MTILDEZ, catalanz.H_CAT,
+                                  catalanz.H_CAT_SHIFT])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
+def test_flipped_lu_reports_match_product_path(monkeypatch, kind, n):
+    for i, j in _lu_flips(kind, n):
+        monkeypatch.undo()
+        _flip(monkeypatch, (kind, i, j))
+        report = catalanz.verify_catalan_lu(n)
+        assert not report.ok, (i, j)
+        assert report.as_dict() == product_lu_report(n).as_dict(), (i, j)
+
+
+@pytest.mark.parametrize("flips, products", [
+    # a fault in M alone leaves L the table: only the inverse is formed
+    ([(catalanz.MZ, 5, 2)], ["matmul"]),
+    ([(catalanz.MTILDEZ, 15, 0)], ["matmul"]),
+    # H off its first row and last column leaves the moments, so the table
+    # is still L: only the Gram product is formed
+    ([(catalanz.H_CAT, 6, 4)], ["gram"]),
+    # L not the table: both products of its pair
+    ([(catalanz.LZ, 5, 2)], ["gram", "matmul"]),
+    ([(catalanz.H_CAT_SHIFT, 0, 9)], ["gram", "matmul"]),
+    ([(catalanz.LZ, 7, 3), (catalanz.MTILDEZ, 3, 1)],
+     ["gram", "matmul", "matmul"]),
+])
+def test_lu_forms_only_the_products_of_failing_identities(monkeypatch, flips,
+                                                          products):
+    n = 16
+    _flip(monkeypatch, *flips)
+    calls = _spy_products(monkeypatch)
+    report = catalanz.verify_catalan_lu(n)
+    assert calls == products
+    assert not report.ok
+    assert report.as_dict() == product_lu_report(n).as_dict()
+
+
+def test_lu_certificates_read_the_table():
+    # Catalan moments: every b_k is 1, a_0 = 1 and a_k = 2 after it (the
+    # certificate checks M's rows with -a)
+    n = 6
+    lmat, mmat, lt, mt = catalanz._factors(n)
+    for low, m, kind in ((lmat, mmat, catalanz.H_CAT),
+                         (lt, mt, catalanz.H_CAT_SHIFT)):
+        h = catalanz.build_catalan_matrix(kind, n)
+        assert catalanz._lu_certificates(low, h, m) == (True, True)
+        assert catalanz._lu_certificates(lt if low is lmat else lmat, h,
+                                         m) == (False, False)
+        # 2 low is the table of the moments of 2 h, but with pivots 2:
+        # 2 h = low (2 I) low^t, not (2 low) (2 low)^t
+        assert catalanz._lu_certificates(2 * low, 2 * h, m) == (False, False)
