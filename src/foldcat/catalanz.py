@@ -15,7 +15,7 @@ from operator import add, mul
 import numpy as np
 
 from . import cfseries
-from .errors import InvariantError, SizeGuardError
+from .errors import InvariantError, check_range
 from .report import VerifyReport
 
 MAX_CATALAN_INDEX = 10 ** 4
@@ -34,14 +34,8 @@ H_CAT_SHIFT = "H_CAT_SHIFT"
 
 def catalan(n: int) -> int:
     """C(2n, n) / (n + 1), exact."""
-    if not 0 <= n <= MAX_CATALAN_INDEX:
-        raise SizeGuardError(f"index must be in [0, {MAX_CATALAN_INDEX}]")
+    check_range("index", n, 0, MAX_CATALAN_INDEX)
     return math.comb(2 * n, n) // (n + 1)
-
-
-def _check_size(n: int, low: int = 1, top: int = MAX_MATRIX_SIZE) -> None:
-    if not low <= n <= top:
-        raise SizeGuardError(f"size must be in [{low}, {top}]")
 
 
 def _pascal_rows(top: int) -> Iterator[list[int]]:
@@ -63,7 +57,7 @@ def _from_rows(rows: list[list], n: int) -> np.ndarray:
 
 def build_catalan_matrix(kind: str, n: int) -> np.ndarray:
     """Integer matrix of the given kind at size n (numpy object array)."""
-    _check_size(n, top=MAX_CATALAN_LU_SIZE)
+    check_range("size", n, 1, MAX_CATALAN_LU_SIZE)
     if kind in (H_CAT, H_CAT_SHIFT):
         shift = int(kind == H_CAT_SHIFT)
         cats = [catalan(k + shift) for k in range(2 * n - 1)]
@@ -239,7 +233,7 @@ def nilpotent_exp(g: np.ndarray) -> np.ndarray:
     M L takes 1.2 s and 9 MB of peak memory; the closed form 0.03 s.
     """
     n = g.shape[0]
-    _check_size(n, 0)
+    check_range("size", n, 0, MAX_MATRIX_SIZE)
     if _first_nonzero(g, 0, n) is not None:
         raise ValueError("input must be strictly lower-triangular")
     if _first_nonzero(g, -n, -2) is None:
@@ -258,7 +252,7 @@ def nilpotent_log(u: np.ndarray) -> np.ndarray:
     the Paterson-Stockmeyer evaluation.
     """
     n = u.shape[0]
-    _check_size(n, 0)
+    check_range("size", n, 0, MAX_MATRIX_SIZE)
     nil = u - _identity(n)
     if _first_nonzero(nil, 0, n) is not None:
         raise ValueError("input must be unipotent lower-triangular")
@@ -323,7 +317,7 @@ def verify_catalan_lu(n: int) -> VerifyReport:
     products, 25 s and 116 MB, and flipped entries in both L and L~ pay all
     four, 45 s and 118 MB.
     """
-    _check_size(n, top=MAX_CATALAN_LU_SIZE)
+    check_range("size", n, 1, MAX_CATALAN_LU_SIZE)
     report = VerifyReport("catalan-lu", n)
     lmat, mmat, lt, mt = _factors(n)
     pairs = []
@@ -342,7 +336,7 @@ def verify_catalan_lu(n: int) -> VerifyReport:
 
 def verify_exp_products(n: int) -> VerifyReport:
     """LM and (shifted) LM closed forms and exponential forms."""
-    _check_size(n)
+    check_range("size", n, 1, MAX_MATRIX_SIZE)
     report = VerifyReport("exp-products", n)
     lmat, mmat, lt, mt = _factors(n)
     lm = _lower_matmul(lmat, mmat)
@@ -405,7 +399,7 @@ def check_log_conjecture(n: int) -> VerifyReport:
     failures.  Budget at n = 128, the guard's limit, on a 2-vCPU Xeon:
     0.5 s and 5 MB of peak memory for a passing run.
     """
-    _check_size(n)
+    check_range("size", n, 1, MAX_MATRIX_SIZE)
     report = VerifyReport("log-conjecture", n, conjecture=True)
     lmat, mmat, lt, mt = _factors(n)
     for u, stripes in ((_lower_matmul(mmat, lmat), _stripes(n, 2)),
@@ -421,8 +415,7 @@ def catalan_gf_mod2(order: int) -> list[int]:
     Squaring mod 2 doubles exponents, so the iteration stays sparse; the
     fixed point truncated at the given order is returned as a bit list.
     """
-    if not 1 <= order <= MAX_GF_ORDER:
-        raise SizeGuardError(f"order must be in [1, {MAX_GF_ORDER}]")
+    check_range("order", order, 1, MAX_GF_ORDER)
     mask = (1 << order) - 1
     c = 1
     while True:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import gf2sign, seq
 from .errors import (InvariantError, NoConvergenceError, NonUnitError,
-                     SingularMinorError, SizeGuardError)
+                     SingularMinorError, check_range)
 from .report import VerifyReport
 
 MAX_WORD_LEN = 2 * ((1 << 12) - 1)
@@ -33,6 +33,10 @@ MAX_UNIQUE_LEN = 2 * MAX_DET_SIZE
 # cf_limit_example(1, 10000), the slowest example (time grows as order^2):
 # 1.5-1.7 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
 MAX_CF_ORDER = 10000
+# verify_lemma5(5): 0.03 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
+MAX_LEMMA5_LEVEL = 5
+# uniqueness_search(10), 16 survivors: 2 ms and 30 MB peak RSS, same host
+MAX_SEARCH_LEN = 10
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +245,10 @@ def word_matrix(word: Sequence[seq.FoldLetter],
     Without subst the entries are multivariate polynomials; with subst
     each variable index is replaced by a power of a single variable x.
     """
-    if len(word) > MAX_WORD_LEN:
-        raise SizeGuardError(f"word longer than {MAX_WORD_LEN}")
+    check_range("word length", len(word), 0, MAX_WORD_LEN)
     if subst is None:
         nvars = max((let.var_index for let in word), default=1)
-        if nvars > MAX_VARS:
-            raise SizeGuardError(f"more than {MAX_VARS} variables")
+        check_range("variable count", nvars, 1, MAX_VARS)
         letters = [MultiPoly.var(let.var_index, nvars, let.sign)
                    for let in word]
         one = MultiPoly.const(1, nvars)
@@ -265,8 +267,7 @@ def word_matrix(word: Sequence[seq.FoldLetter],
 
 def x_polys(k: int) -> tuple[MultiPoly, MultiPoly]:
     """The closed-form convergent polynomials X_k and its sign-flipped twin."""
-    if not 0 <= k <= MAX_VARS:
-        raise SizeGuardError(f"k must be in [0, {MAX_VARS}]")
+    check_range("k", k, 0, MAX_VARS)
     nvars = max(k, 1)
     x = MultiPoly.const(1, nvars)
     x_t = MultiPoly.const(1, nvars)
@@ -282,8 +283,7 @@ def x_polys(k: int) -> tuple[MultiPoly, MultiPoly]:
 
 def verify_lemma5(n: int) -> VerifyReport:
     """Closed form of the word-matrix products and the convergent identity."""
-    if not 1 <= n <= 5:
-        raise SizeGuardError("n must be in [1, 5]")
+    check_range("n", n, 1, MAX_LEMMA5_LEVEL)
     report = VerifyReport("lemma5", n)
     word = seq.fold_word(n)
     nvars = n
@@ -367,9 +367,7 @@ def example_numerators(example: int) -> Iterator[tuple[int, int]]:
 
 
 def cf_limit_example(example: int, order: int) -> TruncSeries:
-    if not 1 <= order <= MAX_CF_ORDER:
-        raise SizeGuardError(f"order must be in [1, {MAX_CF_ORDER}], "
-                             f"got {order}")
+    check_range("order", order, 1, MAX_CF_ORDER)
     return cf_limit(example_numerators(example), order)
 
 
@@ -453,8 +451,7 @@ def hankel_lu_rational(moments: Moments,
     Both are read from the Stieltjes table: D_k = sigma(k, k) and
     L[l][k] = sigma(k, l) / D_k.
     """
-    if not 1 <= n <= MAX_LU_SIZE:
-        raise SizeGuardError(f"size must be in [1, {MAX_LU_SIZE}]")
+    check_range("size", n, 1, MAX_LU_SIZE)
     low = [[Fraction(0)] * n for _ in range(n)]
     diag: list[Fraction] = []
     for k, (pivot, _, col, *_) in enumerate(_stieltjes(moments, 2 * n - 1)):
@@ -483,8 +480,7 @@ def stieltjes_extract(moments: Moments, n: int) -> JacobiCF:
     b.  So m_0 jacobi_series(a, b, 2n) must reproduce m_0..m_(2n-1), and the
     first moment that differs raises InvariantError at its index.
     """
-    if not 1 <= n <= MAX_JACOBI_DEPTH:
-        raise SizeGuardError(f"depth must be in [1, {MAX_JACOBI_DEPTH}]")
+    check_range("depth", n, 1, MAX_JACOBI_DEPTH)
     a, b = [], []
     for k, (pivot, *_, a_k, b_k) in enumerate(_stieltjes(moments, 2 * n + 1)):
         if pivot == 0:
@@ -548,8 +544,7 @@ def det_int(mat: list[list[int]]) -> int:
 def hankel_minors(moments: Moments, n: int) -> list[int]:
     """det H(1), ..., det H(n) of an integer moment sequence: the Stieltjes
     table up to its first zero minor, then det_int for the larger orders."""
-    if not 1 <= n <= MAX_DET_SIZE:
-        raise SizeGuardError(f"size must be in [1, {MAX_DET_SIZE}]")
+    check_range("size", n, 1, MAX_DET_SIZE)
     values = [moments(k) for k in range(2 * n - 1)]
     # int() is exact: the minors of an integer Hankel matrix are integers
     minors = [int(minor) for _, minor, *_ in
@@ -605,8 +600,7 @@ def orth_polys(n: int) -> list[list[int]]:
     pairwise orthogonality, nonzero norms and the three-term recursion
     Q_{k+1} = (x - d(k+1)) Q_k + Q_{k-1} with Q_0 = 1, Q_1 = x - 1.
     """
-    if not 1 <= n <= MAX_LU_SIZE:
-        raise SizeGuardError(f"size must be in [1, {MAX_LU_SIZE}]")
+    check_range("size", n, 1, MAX_LU_SIZE)
     mmat = gf2sign.build_tri(gf2sign.M, n)
     rows = []
     for i in range(n):
@@ -655,9 +649,7 @@ def uniqueness_check(c: Sequence[int]) -> UniquenessResult:
     1.6-1.8 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11).
     """
     length = len(c)
-    if not 2 <= length <= MAX_UNIQUE_LEN:
-        raise SizeGuardError(f"length must be in [2, {MAX_UNIQUE_LEN}], "
-                             f"got {length}")
+    check_range("length", length, 2, MAX_UNIQUE_LEN)
     if any(v not in (-1, 0, 1) for v in c):
         raise ValueError("entries must lie in {-1, 0, +1}")
     c = list(c)
@@ -683,8 +675,7 @@ def uniqueness_search(length: int) -> list[tuple[int, ...]]:
     immediately.  Every survivor must match the +-power-of-two pattern
     via uniqueness_check, or InvariantError is raised.
     """
-    if not 2 <= length <= 10:
-        raise SizeGuardError("length must be in [2, 10]")
+    check_range("length", length, 2, MAX_SEARCH_LEN)
     survivors: list[tuple[int, ...]] = []
 
     def newly_complete(prefix: list[int]) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
@@ -12,7 +13,7 @@ from typing import Callable
 
 from . import catalanz, cfseries, gf2sign, seq
 from .errors import (NoConvergenceError, NonUnitError, SingularMinorError,
-                     SizeGuardError)
+                     SizeGuardError, check_range)
 from .report import VerifyReport
 
 DEFAULT_SIZE = 256
@@ -41,19 +42,15 @@ _BIG_KINDS = {
 }
 
 
-def _matrix_rows(mat) -> list[list[int]]:
-    return [[int(v) for v in row] for row in mat]
-
-
-def _emit_matrix(mat, fmt: str) -> str:
-    rows = _matrix_rows(mat)
+def _print_matrix(mat, fmt: str) -> None:
+    """Print a matrix; plain and csv rows are written one at a time, each
+    entry in its own width."""
     if fmt == "json":
-        return json.dumps(rows)
-    if fmt == "csv":
-        return "\n".join(",".join(str(v) for v in row) for row in rows)
-    width = max(len(str(v)) for row in rows for v in row)
-    return "\n".join(" ".join(str(v).rjust(width) for v in row)
-                     for row in rows)
+        print(json.dumps([[int(v) for v in row] for row in mat]))
+        return
+    sep = "," if fmt == "csv" else " "
+    for row in mat:
+        print(sep.join(str(int(v)) for v in row))
 
 
 def _emit_values(values: list, fmt: str) -> str:
@@ -65,9 +62,7 @@ def _emit_values(values: list, fmt: str) -> str:
 
 
 def _cmd_seq(args) -> int:
-    if not 1 <= args.count <= MAX_SEQ_COUNT:
-        raise SizeGuardError(f"count must be in [1, {MAX_SEQ_COUNT}], "
-                             f"got {args.count}")
+    check_range("count", args.count, 1, MAX_SEQ_COUNT)
     start, fn = _SEQ_KINDS[args.kind]
     values = [fn(n) for n in range(start, start + args.count)]
     print(_emit_values(values, args.format))
@@ -97,7 +92,7 @@ def _cmd_matrix(args) -> int:
         mat = gf2sign.build_tri(_TRI_KINDS[args.kind], args.size)
     else:
         mat = catalanz.build_catalan_matrix(_BIG_KINDS[args.kind], args.size)
-    print(_emit_matrix(mat, args.format))
+    _print_matrix(mat, args.format)
     return 0
 
 
@@ -110,7 +105,7 @@ def _cmd_hankel(args) -> int:
         mat = catalanz.build_catalan_matrix(catalanz.H_CAT, args.size)
     else:
         mat = catalanz.build_catalan_matrix(catalanz.H_CAT_SHIFT, args.size)
-    print(_emit_matrix(mat, args.format))
+    _print_matrix(mat, args.format)
     return 0
 
 
@@ -186,14 +181,16 @@ def _suite_runners(size: int,
         return report
 
     def run_unique_search() -> VerifyReport:
-        report = VerifyReport("unique-search", 8)
-        survivors = set(cfseries.uniqueness_search(8))
+        length = 8
+        report = VerifyReport("unique-search", length)
+        survivors = set(cfseries.uniqueness_search(length))
+        # the +-1-at-indices-2^k-1 sequences, zero elsewhere
+        slots = [m for m in range(length) if (m + 1) & m == 0]
         expected = set()
-        for signs in ((a, b, c, d) for a in (-1, 1) for b in (-1, 1)
-                      for c in (-1, 1) for d in (-1, 1)):
-            cand = [0] * 8
-            for k, sg in enumerate(signs):
-                cand[(1 << k) - 1] = sg
+        for signs in itertools.product((-1, 1), repeat=len(slots)):
+            cand = [0] * length
+            for m, sign in zip(slots, signs):
+                cand[m] = sign
             expected.add(tuple(cand))
         for extra in sorted(survivors - expected):
             report.add(0, 0, "not a survivor", list(extra))
@@ -203,7 +200,7 @@ def _suite_runners(size: int,
 
     return {
         "thm1": lambda: cfseries.verify_thm1(),
-        "thm2": lambda: gf2sign.verify_thm2(min(size, 4096)),
+        "thm2": lambda: gf2sign.verify_thm2(size),
         "thm3": lambda: gf2sign.verify_thm3(size),
         "thm4": lambda: cfseries.verify_thm4(min(size, 48)),
         "thm5": lambda: gf2sign.verify_thm5(size),
@@ -224,7 +221,7 @@ def _suite_runners(size: int,
 # is the suite's own guard, or None where its runner clamps --size first;
 # the other suites ignore --size
 _SUITE_SIZE_LIMITS = {
-    "thm2": None, "thm3": gf2sign.MAX_SIZE, "thm4": None,
+    "thm2": gf2sign.MAX_SIZE, "thm3": gf2sign.MAX_SIZE, "thm4": None,
     "thm5": gf2sign.MAX_SIZE, "mdl": gf2sign.MAX_SIZE,
     "ml-lm": gf2sign.MAX_ML_LM_SIZE, "babab": gf2sign.MAX_BABAB_SIZE,
     "catalan-lu": None, "exp-products": None, "log-conjecture": None,
@@ -237,10 +234,11 @@ def _check_suite_sizes(names: list[str], size: int) -> None:
         if name not in _SUITE_SIZE_LIMITS:
             continue
         limit = _SUITE_SIZE_LIMITS[name]
-        if size < 1 or (limit is not None and size > limit):
-            allowed = "at least 1" if limit is None else f"in [1, {limit}]"
+        if limit is not None:
+            check_range(f"suite {name}: size", size, 1, limit)
+        elif size < 1:
             raise SizeGuardError(
-                f"suite {name}: size must be {allowed}, got {size}")
+                f"suite {name}: size must be at least 1, got {size}")
 
 
 def _cmd_verify(args) -> int:

@@ -1,8 +1,14 @@
-"""Shared exception types."""
+"""Shared exception types and the one size guard."""
 
 
 class SizeGuardError(ValueError):
     """Requested size/order exceeds the supported guard."""
+
+
+def check_range(what: str, value: int, lo: int, hi: int) -> None:
+    """The one size guard: raise SizeGuardError unless lo <= value <= hi."""
+    if not lo <= value <= hi:
+        raise SizeGuardError(f"{what} must be in [{lo}, {hi}], got {value}")
 
 
 class NonUnitError(ValueError):

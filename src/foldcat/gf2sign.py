@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .binom2 import binom_mod2_grid
-from .errors import SizeGuardError
+from .errors import SizeGuardError, check_range
 from .report import VerifyReport
 
 MAX_SIZE = 1 << 14
@@ -44,11 +44,6 @@ LM_RULE = "LM_RULE"
 # Hankel sources
 MU_SHIFT0 = "MU_SHIFT0"
 MU_SHIFT1 = "MU_SHIFT1"
-
-
-def _check_size(n: int, limit: int = MAX_SIZE) -> None:
-    if not 1 <= n <= limit:
-        raise SizeGuardError(f"size must be in [1, {limit}], got {n}")
 
 
 # entries of one row block: the block of a matrix built at a time, and the
@@ -88,7 +83,7 @@ def _tri_block(kind: str, n: int, start: int, stop: int,
 
 def build_tri(kind: str, n: int) -> np.ndarray:
     """Triangular matrix of the given kind at size n, entries in {0,1}."""
-    _check_size(n)
+    check_range("size", n, 1, MAX_SIZE)
     out = np.empty((n, n), dtype=np.int8)
     for start, stop in _row_blocks(n, n):
         out[start:stop] = _tri_block(kind, n, start, stop)
@@ -129,8 +124,7 @@ def babab_expand(rule: str, steps: int) -> np.ndarray:
     """
     if rule not in _SEEDS:
         raise ValueError(f"unknown rule {rule!r}")
-    if not 0 <= steps <= MAX_BLOCK_STEPS:
-        raise SizeGuardError(f"steps must be in [0, {MAX_BLOCK_STEPS}]")
+    check_range("steps", steps, 0, MAX_BLOCK_STEPS)
     n = 2 << steps
     largest = n if rule == LM_RULE else 1
     out = np.zeros((n, n), dtype=np.min_scalar_type(-largest - 1))
@@ -152,7 +146,7 @@ def _hankel_window(coeffs, shift: int, n: int, start: int, stop: int | None,
     """Rows start..stop (all by default) of the n x n Hankel matrix whose
     (i, j) entry is coeffs[k] where i + j + shift = 2^k - 1, and 0 elsewhere;
     coeffs may be infinite, and indices past its end read as 0."""
-    _check_size(n)
+    check_range("size", n, 1, MAX_SIZE)
     stop = n if stop is None else stop
     # vals[m] is the entry on the antidiagonal i + j = start + m
     vals = np.zeros(stop - start + n - 1, dtype=dtype)
@@ -186,7 +180,7 @@ def _parity_sign(bits: np.ndarray) -> np.ndarray:
 
 def sign_diag(kind: str, n: int) -> np.ndarray:
     """Diagonal of the named sign matrix as a 1-D int vector."""
-    _check_size(n)
+    check_range("size", n, 1, MAX_SIZE)
     i = np.arange(n, dtype=np.int64)
     if kind == "s":  # (-1)^b0(i), b0 counting the "10" factors of i
         return _parity_sign((i >> 1) & ~i)
@@ -388,10 +382,10 @@ def _five_factor_rows(n: int):
 def verify_thm2(n: int) -> VerifyReport:
     """D_s L D_a L^t D_s == Hankel(mu).
 
-    At the limit, 4096: 0.8-0.9 s and 40 MB child peak RSS through the CLI
-    on a 2-vCPU Xeon, like the budgets below.
+    At the limit, MAX_SIZE = 16384: 17-18 s and 130 MB child peak RSS
+    through the CLI on a 2-vCPU Xeon, like the budgets below.
     """
-    _check_size(n, 4096)
+    check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm2", n)
     for start, got in _five_factor_rows(n):
         report.compare(got, hankel_bits(MU_SHIFT0, n, start,
@@ -404,7 +398,7 @@ def verify_thm3(n: int) -> VerifyReport:
 
     At the limit, MAX_SIZE = 16384: 29 s and 161 MB.
     """
-    _check_size(n)
+    check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm3", n)
     sv = sign_diag("s", n)
     av = sign_diag("a", n)
@@ -425,7 +419,7 @@ def verify_prop_mdl(n: int) -> VerifyReport:
 
     At the limit, MAX_SIZE = 16384: 16 s and 131 MB.
     """
-    _check_size(n)
+    check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("mdl", n)
     mrows, lcols = _packed(M, n), _packed(L, n, True)
     for kind in ("e", "o"):
@@ -444,7 +438,7 @@ def verify_prop_ml_lm(n: int) -> VerifyReport:
     At the limit, MAX_ML_LM_SIZE = 8192: 17 s and 192 MB, of which the int16
     LM chain is 128 MB.
     """
-    _check_size(n, MAX_ML_LM_SIZE)
+    check_range("size", n, 1, MAX_ML_LM_SIZE)
     report = VerifyReport("ml-lm", n)
     lmat = _packed(L, n), _packed(L, n, True)  # (rows, columns)
     mmat = _packed(M, n), _packed(M, n, True)
@@ -484,7 +478,7 @@ def verify_thm5(n: int) -> VerifyReport:
 
     At the limit, MAX_SIZE = 16384: 55 s and 227 MB.
     """
-    _check_size(n)
+    check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm5", n)
     ltrows, mtrows = _packed(LTILDE, n), _packed(MTILDE, n)
     sv = sign_diag("stilde", n)
@@ -532,7 +526,7 @@ def verify_babab(n: int) -> VerifyReport:
     and chain by chain within a level.  At the limit, MAX_BABAB_SIZE = 16383
     (top 8192): 1.8 s and 158 MB.
     """
-    _check_size(n, MAX_BABAB_SIZE)
+    check_range("size", n, 1, MAX_BABAB_SIZE)
     report = VerifyReport("babab", n)
     if n < 2:
         return report
@@ -563,7 +557,7 @@ def general_eps_diag(eps: list[int], n: int) -> np.ndarray:
     d_m is the product, over set bits j of m, of c_j where c_0 = eps[1]
     and c_j = eps[j] * eps[j+1] for j >= 1.
     """
-    _check_size(n)
+    check_range("size", n, 1, MAX_SIZE)
     if not eps or eps[0] != 1:
         raise ValueError("eps[0] must be +1 (negate D_a to handle -1)")
     if any(e not in (-1, 1) for e in eps):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from foldcat import cfseries, cli, gf2sign
+from foldcat import catalanz, cfseries, cli, gf2sign
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +86,17 @@ def test_hankel_output(capsys):
     code, out, _ = run_cli(capsys, "--format", "json",
                            "hankel", "--source", "catalan", "--size", "3")
     assert json.loads(out) == [[1, 1, 2], [1, 2, 5], [2, 5, 14]]
+
+
+def test_hankel_plain_entries_are_not_padded(capsys):
+    # padding every entry to the widest one (150 digits for C_254) printed
+    # 2.47 MB here, and 160 MB for hankel --source catalan --size 512
+    code, out, _ = run_cli(capsys, "hankel", "--source", "catalan",
+                           "--size", "128")
+    assert code == 0
+    rows = catalanz.build_catalan_matrix(catalanz.H_CAT, 128).tolist()
+    assert out == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    assert len(out) < 1_250_000
 
 
 def test_cf_example_output(capsys):
@@ -278,7 +289,7 @@ def test_verify_checks_every_suite_size_before_running(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_suite_runners", no_runs)
     cases = [
-        (["all", "0"], "suite thm2: size must be at least 1"),
+        (["all", "0"], "suite thm2: size must be in [1, 16384], got 0"),
         (["all", "9000"], "suite ml-lm: size must be in [1, 8192]"),
         (["babab", "16384"], "suite babab: size must be in [1, 16383]"),
         (["thm3", "16385"], "suite thm3: size must be in [1, 16384]"),

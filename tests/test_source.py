@@ -38,3 +38,30 @@ def test_traced_names_resolve():
         if not callable(owner):
             missing.append(path)
     assert missing == []
+
+
+def calls_in_package(name):
+    """(file name, enclosing function) of each call to name in the package,
+    outside errors.py, where the guard and its error type live."""
+    found = []
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (
+                    getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append((path.name, owner))
+            visit(child, path, getattr(child, "name", owner))
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    return found
+
+
+def test_range_guards_go_through_check_range():
+    # the two size guards that are not a range of one value: eps must be
+    # long enough for the size, and a suite that clamps --size needs only
+    # size >= 1; every other guard raises through errors.check_range
+    assert calls_in_package("SizeGuardError") == [
+        ("cli.py", "_check_suite_sizes"), ("gf2sign.py", "general_eps_diag")]
