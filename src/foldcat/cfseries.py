@@ -33,8 +33,9 @@ MAX_UNIQUE_LEN = 2 * MAX_DET_SIZE
 # cf_limit_example(1, 10000), the slowest example (time grows as order^2):
 # 1.5-1.7 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
 MAX_CF_ORDER = 10000
-# verify_lemma5(5): 0.03 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
-MAX_LEMMA5_LEVEL = 5
+# verify_lemma5(6), six variables (all that x_polys admits): 0.11-0.14 s and
+# 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
+MAX_LEMMA5_LEVEL = 6
 # uniqueness_search(10), 16 survivors: 2 ms and 30 MB peak RSS, same host
 MAX_SEARCH_LEN = 10
 

@@ -80,10 +80,14 @@ def _cmd_word(args) -> int:
         letters = seq.fold_word(args.level)
     else:
         letters = [seq.fold_stream(args.index)]
+    # W_k has only 2k distinct letters: each is formatted once, and the
+    # output joins references to those strings
     if args.format == "json":
-        print(json.dumps([[let.var_index, let.sign] for let in letters]))
+        text = {let: json.dumps(list(let)) for let in set(letters)}
+        print(f"[{', '.join(map(text.__getitem__, letters))}]")
     else:
-        print(_emit_values([_letter_str(let) for let in letters], args.format))
+        text = {let: _letter_str(let) for let in set(letters)}
+        print(_emit_values(list(map(text.__getitem__, letters)), args.format))
     return 0
 
 

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 from .errors import InvariantError, check_range
 
-# foldcat word --level 20, 2 * (2^20 - 1) letters: 1.0-1.3 s and 218 MB child
-# peak RSS on a 2-vCPU Xeon (Python 3.11)
+# foldcat word --level 20, 2 * (2^20 - 1) letters: 0.7-0.8 s and 85-87 MB
+# child peak RSS in every format on a 2-vCPU Xeon (Python 3.11)
 MAX_WORD_LEVEL = 20
 
 

@@ -416,19 +416,17 @@ def test_exp_log_guard_precedes_any_work():
 # ---------------------------------------------------------------------------
 # the exp certificate behind check_log_conjecture
 
-def random_regular_nilpotent(rng, n):
-    """Random strictly lower integer matrix, nonzero on its first
-    subdiagonal."""
-    s = random_strictly_lower(rng, n)
-    for i in range(1, n):
-        s[i, i - 1] = rng.choice([-3, -2, -1, 1, 2, 3, 5])
-    return s
+def random_stripes(rng, n):
+    """The stripe form N (I - N^2)^-1 diag(d) for a random d with no zero:
+    d_j where i - j is odd and positive, zero elsewhere."""
+    d = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(n)]
+    return _obj(lambda i, j: d[j] if i > j and (i - j) % 2 else 0, n)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_certificate_agrees_with_exp(n):
     rng = random.Random(3000 + n)
-    s = random_regular_nilpotent(rng, n)
+    s = random_stripes(rng, n)
     u = catalanz.nilpotent_exp(s)
     other = s.copy()
     if n > 1:
@@ -445,7 +443,7 @@ def test_certificate_agrees_with_exp(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_certificate_rejects_every_bumped_entry(n):
     rng = random.Random(4000 + n)
-    for s in (random_regular_nilpotent(rng, n), catalanz._stripes(n, 2)):
+    for s in (random_stripes(rng, n), catalanz._stripes(n, 2)):
         u = catalanz.nilpotent_exp(s)
         assert catalanz._is_exp(s, u)
         for i in range(n):
@@ -472,6 +470,11 @@ def test_certificate_refuses_outside_its_premise():
     # u == exp(holey) holds, but a zero on the first subdiagonal leaves the
     # certificate without its basis, so it answers False
     assert not catalanz._is_exp(holey, catalanz.nilpotent_exp(holey))
+    # an entry at an even distance below the diagonal leaves the stripe
+    # form, though its first subdiagonal is still nonzero
+    even = s.copy()
+    even[4, 2] = 1
+    assert not catalanz._is_exp(even, catalanz.nilpotent_exp(even))
     upper = u.copy()
     upper[2, 5] = 1
     assert not catalanz._is_exp(s, upper)
@@ -699,3 +702,109 @@ def test_lu_certificates_read_the_table():
         # 2 low is the table of the moments of 2 h, but with pivots 2:
         # 2 h = low (2 I) low^t, not (2 low) (2 low)^t
         assert catalanz._lu_certificates(2 * low, 2 * h, m) == (False, False)
+
+
+# ---------------------------------------------------------------------------
+# the row-recursion products behind verify_exp_products and
+# check_log_conjecture
+
+def exp_matrices(n):
+    """L M and L~ M~ at size n as _lower_matmul forms them, each followed by
+    its closed form and the exponential of its subdiagonal."""
+    lmat, mmat, lt, mt = catalanz._factors(n)
+    c = math.comb
+    sub_exp = lambda step: catalanz.nilpotent_exp(
+        catalanz.subdiag_matrix([4 * j + step for j in range(n)], n))
+    return (_lower_matmul(lmat, mmat),
+            _obj(lambda i, j: c(2 * i, i) * c(i, j) // c(2 * j, j), n),
+            sub_exp(2),
+            _lower_matmul(lt, mt),
+            _obj(lambda i, j: 4 ** (i - j) * c(i, j) if j <= i else 0, n),
+            sub_exp(4))
+
+
+def product_exp_report(n, mats=None):
+    """verify_exp_products before the row recursions: both products formed
+    by _lower_matmul and compared entry by entry, kept as the oracle of its
+    reports.  mats may be exp_matrices at a larger size: every factor is
+    lower-triangular and the leading block of a larger one, and each
+    expected entry depends on (i, j) only, so the matrices at n are their
+    leading n x n blocks."""
+    report = catalanz.VerifyReport("exp-products", n)
+    lm, lm_closed, lm_exp, ltmt, lt_closed, lt_exp = mats or exp_matrices(n)
+    for got, want in ((lm, lm_closed), (lm, lm_exp), (ltmt, lt_closed),
+                      (ltmt, lt_exp)):
+        report.compare(got[:n, :n], want[:n, :n])
+    return report
+
+
+def test_exp_report_matches_product_path_at_every_size(monkeypatch):
+    top = catalanz.MAX_MATRIX_SIZE
+    mats = exp_matrices(top)
+    _spy_products(monkeypatch, allowed=False)
+    for n in range(1, top + 1):
+        report = catalanz.verify_exp_products(n)
+        assert report.ok
+        assert report.as_dict() == product_exp_report(n, mats).as_dict(), n
+
+
+def test_passing_log_runs_form_no_product_and_no_log(monkeypatch):
+    _spy_products(monkeypatch, allowed=False)
+    calls = _spy_log(monkeypatch)
+    for n in range(1, catalanz.MAX_MATRIX_SIZE + 1):
+        report = catalanz.check_log_conjecture(n)
+        assert report.as_dict() == {"suite": "log-conjecture", "size": n,
+                                    "pass": True, "failures": [],
+                                    "conjecture": True}
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", [catalanz.LZ, catalanz.MZ,
+                                  catalanz.LTILDEZ, catalanz.MTILDEZ])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
+def test_flipped_exp_reports_match_product_path(monkeypatch, kind, n):
+    for i, j in _flips(n):
+        monkeypatch.undo()
+        _flip(monkeypatch, (kind, i, j))
+        report = catalanz.verify_exp_products(n)
+        assert not report.ok, (i, j)
+        assert report.as_dict() == product_exp_report(n).as_dict(), (i, j)
+
+
+def _spy_pairs(monkeypatch, n):
+    """Record each _lower_matmul call of two factors by their names; the
+    products inside nilpotent_log are not recorded."""
+    names = list(zip(("L", "M", "L~", "M~"), catalanz._factors(n)))
+    calls = []
+
+    def spy(a, b):
+        pair = tuple(name for m in (a, b) for name, f in names
+                     if (f == m).all())
+        if len(pair) == 2:
+            calls.append(pair)
+        return _lower_matmul(a, b)
+
+    monkeypatch.setattr(catalanz, "_lower_matmul", spy)
+    return calls
+
+
+@pytest.mark.parametrize("flips, exp_pairs, log_pairs", [
+    ([(catalanz.LZ, 5, 2)], [("L", "M")], [("M", "L")]),
+    ([(catalanz.MZ, 9, 0)], [("L", "M")], [("M", "L")]),
+    ([(catalanz.MTILDEZ, 15, 0)], [("L~", "M~")], [("M~", "L~")]),
+    ([(catalanz.LTILDEZ, 7, 3)], [("L~", "M~")], [("M~", "L~")]),
+    ([(catalanz.LTILDEZ, 7, 3), (catalanz.MZ, 3, 1)],
+     [("L", "M"), ("L~", "M~")], [("M", "L"), ("M~", "L~")]),
+])
+def test_broken_factor_forms_only_its_pairs_product(monkeypatch, flips,
+                                                    exp_pairs, log_pairs):
+    n = 16
+    _flip(monkeypatch, *flips)
+    calls = _spy_pairs(monkeypatch, n)
+    report = catalanz.verify_exp_products(n)
+    assert calls == exp_pairs
+    assert report.as_dict() == product_exp_report(n).as_dict()
+    calls.clear()
+    report = catalanz.check_log_conjecture(n)
+    assert calls == log_pairs
+    assert report.as_dict() == old_log_report(n).as_dict()

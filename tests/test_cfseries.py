@@ -105,7 +105,7 @@ def test_x_polys_guard():
         x_polys(cfseries.MAX_VARS + 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, cfseries.MAX_LEMMA5_LEVEL])
 def test_word_matrix_closed_form(n):
     assert cfseries.verify_lemma5(n).ok
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from foldcat import catalanz, cfseries, cli, gf2sign
+from foldcat import catalanz, cfseries, cli, gf2sign, seq
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +47,21 @@ def test_word_index_output(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "word", "--index", "3")
     assert code == 0
     assert json.loads(out) == [[2, 1]]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_word_output_matches_letter_by_letter_oracle(capsys, fmt):
+    # the text each letter had when every letter was formatted on its own
+    letters = seq.fold_word(12)
+    if fmt == "json":
+        want = json.dumps([[let.var_index, let.sign] for let in letters])
+    else:
+        want = ("," if fmt == "csv" else " ").join(
+            f"{'-' if let.sign < 0 else ''}x{let.var_index}"
+            for let in letters)
+    code, out, _ = run_cli(capsys, "--format", fmt, "word", "--level", "12")
+    assert code == 0
+    assert out == want + "\n"
 
 
 def test_word_requires_exactly_one_selector(capsys):
