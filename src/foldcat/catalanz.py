@@ -8,12 +8,12 @@ Fractions, and every product is an exact sum of python-number products.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import mul
 
 import numpy as np
 
-from . import cfseries
 from .errors import InvariantError, check_range
 from .report import VerifyReport
 
@@ -40,8 +40,9 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _from_rows(rows: list[list], n: int) -> np.ndarray:
-    """n x n object matrix whose row i starts with rows[i], zero after it."""
+def _from_rows(rows: Iterable[list], n: int) -> np.ndarray:
+    """n x n object matrix whose row i starts with the i-th list of rows,
+    zero after it."""
     out = np.zeros((n, n), dtype=object)
     for i, row in enumerate(rows):
         out[i, :len(row)] = row
@@ -55,15 +56,36 @@ def _times_jacobi(row: list, a: list) -> list:
             zip([0, *row], a, [*row, 0], [*row[1:], 0, 0])]
 
 
-def build_catalan_matrix(kind: str, n: int) -> np.ndarray:
-    """Integer matrix of the given kind at size n (numpy object array).
+def _factor_rows(kind: str, count: int) -> Iterator[list]:
+    """Rows 0..count-1 of L, L~, M or M~, row i as its i + 1 entries.
 
-    With a = (a_0, 2, 2, ...) the Jacobi diagonal of its moments (_A0), row
-    i + 1 of L or L~ is row i times the Jacobi matrix J of a, from row 0 =
-    e_0 (the ballot recursion); the rows of M or M~ are m_0 = 1 and
+    With a = (a_0, 2, 2, ...) the Jacobi diagonal of the moments (_A0) and
+    J its Jacobi matrix, row i + 1 of L or L~ is row i times J, from row
+    0 = e_0 (the ballot recursion); the rows of M or M~ are m_0 = 1 and
     m_(r+1) = (y + a_r) m_r - m_(r-1) with m_(-1) = 0, the Morgan-Voyce
     polynomials ((2 + y) m_r - m_(r-1) with m_(-1) = 1 for M, 0 for M~).
     """
+    a = [_A0[kind]] + [2] * (count - 1)
+    prev, cur = [], [1]
+    yield cur
+    for r in range(count - 1):
+        if kind in (LZ, LTILDEZ):
+            prev, cur = cur, _times_jacobi(cur, a)
+        else:
+            prev, cur = cur, [p + a[r] * c - q for p, c, q in
+                              zip([0, *cur], [*cur, 0], [*prev, 0, 0])]
+        yield cur
+
+
+def _is_factor(mat: np.ndarray, kind: str) -> bool:
+    """Whether the lower triangle of mat is _factor_rows(kind, n)."""
+    return all(mat[i, :i + 1].tolist() == row
+               for i, row in enumerate(_factor_rows(kind, mat.shape[0])))
+
+
+def build_catalan_matrix(kind: str, n: int) -> np.ndarray:
+    """Integer matrix of the given kind at size n (numpy object array):
+    the Catalan Hankel matrices, or L, L~, M and M~ from _factor_rows."""
     check_range("size", n, 1, MAX_CATALAN_LU_SIZE)
     if kind in (H_CAT, H_CAT_SHIFT):
         shift = int(kind == H_CAT_SHIFT)
@@ -71,17 +93,7 @@ def build_catalan_matrix(kind: str, n: int) -> np.ndarray:
         return np.array([cats[i:i + n] for i in range(n)], dtype=object)
     if kind not in _A0:
         raise ValueError(f"unknown kind {kind!r}")
-    a = [_A0[kind]] + [2] * (n - 1)
-    prev, rows = [], [[1]]
-    for r in range(n - 1):
-        cur = rows[-1]
-        if kind in (LZ, LTILDEZ):
-            rows.append(_times_jacobi(cur, a))
-        else:
-            rows.append([p + a[r] * c - q for p, c, q in
-                         zip([0, *cur], [*cur, 0], [*prev, 0, 0])])
-        prev = cur
-    return _from_rows(rows, n)
+    return _from_rows(_factor_rows(kind, n), n)
 
 
 def catalan_triangle(rows: int) -> list[list[int]]:
@@ -266,69 +278,53 @@ def nilpotent_log(u: np.ndarray) -> np.ndarray:
     return _power_series(nil, coeffs, lcm)
 
 
-def _lu_certificates(low: np.ndarray, h: np.ndarray,
-                     m: np.ndarray) -> tuple[bool, bool]:
-    """Whether h == low low^t and whether low (D_a m D_a) == I, decided
-    exactly in O(n^2) from one Stieltjes table, without either product.
+def _is_gram(low: np.ndarray, h: np.ndarray) -> bool:
+    """Whether h == low low^t, in O(n^2) without the product, for a low
+    that passes _is_factor.
 
-    Premise: low and m are lower-triangular.  The moments m_0..m_(2n-2) are
-    read off the first row and the last column of h, and n steps of
-    cfseries._stieltjes are run on them.  Unless every pivot D_k is 1 and
-    column k of the table is low[k:, k], neither identity is certified.
-
-    h == low low^t: the table is the L and D of H = L D L^t for those
-    moments, which is unique, so with D = I and L = low, h is low low^t
-    exactly when every entry h[i, j] is m_(i+j).
-
-    low P == I for P = D_a m D_a: the steps give a_k and b_k, and P must be
-    lower unipotent with rows p_(i+1) = (x - a_i) p_i - b_i p_(i-1) for
-    i <= n-2, that is P X = J P on rows 0..n-2, with X the shift by x and J
-    the Jacobi matrix of a and b.  The table's column recursion, with a_k
-    the value that leaves nothing above its diagonal, is X low = low J on
-    the same rows.  So Q = P low is lower unipotent and QJ = JQ on rows
-    0..n-2.  Row i of that gives row i+1 of Q from rows i and i-1, and
-    Q[0] = e_0, so Q is I, which obeys the same; hence low P = I.  As
-    P[i][j] = (-1)^(i+j) m[i][j], p_i(x) is (-1)^i q_i(-x) for the rows q_i
-    of m, so P's rows obey the recursion with a exactly when m's obey it
-    with -a.  m's row 0 must be [1]; the recursion keeps each later
-    diagonal entry 1.
+    J, the Jacobi matrix of low's a with 1 beside the diagonal, is
+    symmetric, and l_(i+1) = l_i J for i <= n-2.  So entry (i+1, j) of
+    G = low low^t is l_i J l_j^t = entry (i, j+1): G is the Hankel matrix
+    of its first row, low[:, 0], and its last column, l_i . l_(n-1).
     """
     n = low.shape[0]
-    moments = [*h[0].tolist(), *h[1:, -1].tolist()]
-    a, b = [], []
-    for k, (pivot, _, col, a_k, b_k) in enumerate(
-            cfseries._stieltjes(moments.__getitem__, 2 * n - 1)):
-        if pivot != 1 or col[:n - k] != low[k:, k].tolist():
-            return False, False
-        if k:
-            a.append(-a_k)
-            b.append(b_k)
-    hankel = all(row == moments[i:i + n] for i, row in enumerate(h.tolist()))
-    rows = [m[i, :i + 1].tolist() for i in range(n)]
-    return hankel, (rows[0] == [1]
-                    and cfseries.three_term_break(rows, a, b) is None)
+    last = low[-1].tolist()
+    values = [*low[:, 0].tolist(),
+              *(sum(map(mul, low[i, :i + 1].tolist(), last))
+                for i in range(1, n))]
+    return all(row == values[i:i + n] for i, row in enumerate(h.tolist()))
 
 
 def verify_catalan_lu(n: int) -> VerifyReport:
     """H == L L^t, shifted H == L~ L~^t, and both inverses via D_a M D_a.
 
-    _lu_certificates decides each identity from the Stieltjes table of its
-    Hankel matrix in O(n^2); only an identity it does not certify pays for
-    its O(n^3) product, whose entries then localise the failures, in the
-    order and form of a product-only run.  When a factor L is not the table,
-    both products of its pair run.  Budget at n = 512, the guard's limit, on
-    a 2-vCPU Xeon (peak RSS of a fresh interpreter): a passing run takes
-    0.7-1.2 s and 89 MB; one flipped entry in L pays its pair's two
-    products, 25 s and 116 MB, and flipped entries in both L and L~ pay all
-    four, 45 s and 118 MB.
+    Each identity is decided in O(n^2) from the factor checks; only one
+    that is not certified pays for its O(n^3) product, whose entries then
+    localise the failures, in the order and form of a product-only run.
+    H == L L^t is certified by _is_gram when L passes _is_factor.
+    L (D_a M D_a) == I is certified when L and M both pass _is_factor: then
+    P = D_a M D_a is lower unipotent with rows p_i(x) = (-1)^i m_i(-x), so
+    p_(i+1) = (x - a_i) p_i - p_(i-1), that is P X = J P on rows 0..n-2,
+    with X the shift by x and J the Jacobi matrix of a; and l_(i+1) = l_i J
+    is X L = L J on the same rows.  So Q = P L is lower unipotent and
+    Q J = J Q on rows 0..n-2.  Row i of that gives row i+1 of Q from rows
+    i and i-1, and Q_0 = e_0, so Q is I, which obeys the same; hence
+    L P = I.  Budget at n = 512, the guard's limit, on a 2-vCPU Xeon (peak
+    RSS of a fresh interpreter): a passing run takes 0.75-0.99 s and 90 MB;
+    one flipped entry in L pays its pair's two products, 23 s and 117 MB,
+    and flipped entries in both L and L~ pay all four, 43 s and 118 MB.
     """
     check_range("size", n, 1, MAX_CATALAN_LU_SIZE)
     report = VerifyReport("catalan-lu", n)
     lmat, mmat, lt, mt = _factors(n)
     pairs = []
-    for low, m, kind in ((lmat, mmat, H_CAT), (lt, mt, H_CAT_SHIFT)):
-        h = build_catalan_matrix(kind, n)
-        pairs.append((low, m, h, *_lu_certificates(low, h, m)))
+    for low, m, (low_kind, m_kind), h_kind in (
+            (lmat, mmat, (LZ, MZ), H_CAT),
+            (lt, mt, (LTILDEZ, MTILDEZ), H_CAT_SHIFT)):
+        h = build_catalan_matrix(h_kind, n)
+        low_ok = _is_factor(low, low_kind)
+        pairs.append((low, m, h, low_ok and _is_gram(low, h),
+                      low_ok and _is_factor(m, m_kind)))
     for low, _, h, gram_ok, _ in pairs:
         if not gram_ok:
             report.compare(_lower_gram(low), h)
@@ -339,40 +335,36 @@ def verify_catalan_lu(n: int) -> VerifyReport:
     return report
 
 
-def _catalan_product(low: np.ndarray, m: np.ndarray, a0: int,
+def _catalan_product(low: np.ndarray, m: np.ndarray, kinds: tuple[str, str],
                      low_first: bool) -> np.ndarray:
     """low m (low_first) or m low, equal to what _lower_matmul forms, in
-    O(n^2) when both factors obey their row recursions.
+    O(n^2) when low and m pass _is_factor for their kinds.
 
-    Premise: low and m are lower-triangular.  With a = (a0, 2, 2, ...), J
-    its Jacobi matrix (1 beside the diagonal), Z the shift y p and e_0 the
-    first unit row, the recursions are l_0 = e_0, l_(i+1) = l_i J (so
-    Z low = low J) and m_0 = 1, m_(i+1) = (y + a_i) m_i - m_(i-1) with
-    m_(-1) = 0 (so J m = diag(2a) m + m Z), each for i <= n-2, and they
-    are checked first.  Under them the rows of the product are:
+    Premise: low and m are lower-triangular.  With a = (a0, 2, 2, ...) the
+    pair's Jacobi diagonal (_A0), J its Jacobi matrix (1 beside the
+    diagonal), Z the shift y p and e_0 the first unit row, the rows of the
+    factors obey l_0 = e_0, l_(i+1) = l_i J (so Z low = low J) and m_0 = 1,
+    m_(i+1) = (y + a_i) m_i - m_(i-1) with m_(-1) = 0 (so
+    J m = diag(2a) m + m Z), each for i <= n-2.  Under them the rows of
+    the product are:
     P = low m has P_0 = e_0 and P_(i+1) = l_i J m = P_i (4I + Z)
     - (4 - 2 a0) low[i, 0] e_0; U = m low has U_0 = e_0 and
     U_(i+1) = m_i Z low + a_i U_i - U_(i-1) = U_i (J + a_i I) - U_(i-1).
     Row i + 1 of either reads rows of the factors up to i + 1 < n only, so
-    the rows so made are the n x n product exactly.  A factor that breaks
-    its recursion leaves the product to _lower_matmul.
+    the rows so made are the n x n product exactly.  A factor that fails
+    _is_factor leaves the product to _lower_matmul.
     """
-    n = low.shape[0]
-    a = [a0] + [2] * (n - 1)
-    low_rows = [low[i, :i + 1].tolist() for i in range(n)]
-    m_rows = [m[i, :i + 1].tolist() for i in range(n)]
-    if not (low_rows[0] == m_rows[0] == [1]
-            and all(_times_jacobi(row, a) == nxt
-                    for row, nxt in zip(low_rows, low_rows[1:]))
-            and cfseries.three_term_break(m_rows, [-x for x in a],
-                                          [1] * n) is None):
+    if not (_is_factor(low, kinds[0]) and _is_factor(m, kinds[1])):
         return _lower_matmul(low, m) if low_first else _lower_matmul(m, low)
+    n = low.shape[0]
+    a = [_A0[kinds[0]]] + [2] * (n - 1)
+    first = low[:, 0].tolist()
     prev, rows = [], [[1]]
     for i in range(n - 1):
         cur = rows[-1]
         if low_first:
             nxt = [4 * c + p for c, p in zip([*cur, 0], [0, *cur])]
-            nxt[0] -= (4 - 2 * a0) * low_rows[i][0]
+            nxt[0] -= (4 - 2 * a[0]) * first[i]
         else:
             nxt = [v + a[i] * c - p for v, c, p in
                    zip(_times_jacobi(cur, a), [*cur, 0], [*prev, 0, 0])]
@@ -385,7 +377,7 @@ def verify_exp_products(n: int) -> VerifyReport:
     """LM and (shifted) LM closed forms and exponential forms.
 
     Each product is made row by row by _catalan_product, in O(n^2) when its
-    factors obey their recursions and by _lower_matmul otherwise, and is
+    factors pass _is_factor and by _lower_matmul otherwise, and is
     compared with its closed form and with nilpotent_exp of its
     subdiagonal, so a report is the same as a product-only run's.  Budget
     at n = 128, the guard's limit, on a 2-vCPU Xeon (peak RSS of a fresh
@@ -395,8 +387,8 @@ def verify_exp_products(n: int) -> VerifyReport:
     check_range("size", n, 1, MAX_MATRIX_SIZE)
     report = VerifyReport("exp-products", n)
     lmat, mmat, lt, mt = _factors(n)
-    lm = _catalan_product(lmat, mmat, _A0[MZ], low_first=True)
-    ltmt = _catalan_product(lt, mt, _A0[MTILDEZ], low_first=True)
+    lm = _catalan_product(lmat, mmat, (LZ, MZ), low_first=True)
+    ltmt = _catalan_product(lt, mt, (LTILDEZ, MTILDEZ), low_first=True)
     fact = [math.factorial(k) for k in range(2 * n)]
     report.compare(lm, _from_rows(
         [[fact[2 * i] * fact[j] // (fact[i] * fact[2 * j] * fact[i - j])
@@ -491,8 +483,9 @@ def check_log_conjecture(n: int) -> VerifyReport:
     check_range("size", n, 1, MAX_MATRIX_SIZE)
     report = VerifyReport("log-conjecture", n, conjecture=True)
     lmat, mmat, lt, mt = _factors(n)
-    for low, m, kind, offset in ((lmat, mmat, MZ, 2), (lt, mt, MTILDEZ, 4)):
-        u = _catalan_product(low, m, _A0[kind], low_first=False)
+    for low, m, kinds, offset in ((lmat, mmat, (LZ, MZ), 2),
+                                  (lt, mt, (LTILDEZ, MTILDEZ), 4)):
+        u = _catalan_product(low, m, kinds, low_first=False)
         stripes = _stripes(n, offset)
         if not _is_exp(stripes, u):
             report.compare(nilpotent_log(u), stripes)

@@ -287,29 +287,22 @@ def verify_lemma5(n: int) -> VerifyReport:
     check_range("n", n, 1, MAX_LEMMA5_LEVEL)
     report = VerifyReport("lemma5", n)
     word = seq.fold_word(n)
-    nvars = n
     xn, xn_t = x_polys(n)
     xprev, _ = x_polys(n - 1)
-    # embed lower-variable polynomials into n variables
-    def embed(p: MultiPoly) -> MultiPoly:
-        return MultiPoly(nvars, {tuple(e) + (0,) * (nvars - p.nvars): c
-                                 for e, c in p.terms.items()})
-    xn, xn_t, xprev = embed(xn), embed(xn_t), embed(xprev)
-    one = MultiPoly.const(1, nvars)
+    # X_(n-1) embedded into the n variables of X_n
+    xprev = MultiPoly(n, {e + (0,) * (n - xprev.nvars): c
+                          for e, c in xprev.terms.items()})
     sq = xprev * xprev
+    one = MultiPoly.const(1, n)
     got = word_matrix(word)
-    expect = Mat2(xn_t - sq, one - xn, sq, xn)
-    for pos, (g, e) in enumerate(zip(got, expect)):
-        if g != e:
-            report.add(pos // 2, pos % 2, e.terms, g.terms)
-    got_rev = word_matrix(word[::-1])
-    expect_rev = Mat2(xn - sq, one - xn_t, sq, xn_t)
-    for pos, (g, e) in enumerate(zip(got_rev, expect_rev)):
-        if g != e:
-            report.add(pos // 2, pos % 2, e.terms, g.terms)
+    for g_mat, e_mat in ((got, Mat2(xn_t - sq, one - xn, sq, xn)),
+                         (word_matrix(word[::-1]),
+                          Mat2(xn - sq, one - xn_t, sq, xn_t))):
+        for pos, (g, e) in enumerate(zip(g_mat, e_mat)):
+            if g != e:
+                report.add(pos // 2, pos % 2, e.terms, g.terms)
     # partial convergent identity: prefixing the unit numerator gives X_n
-    zero = MultiPoly.const(0, nvars)
-    m = Mat2(zero, one, one, one) @ got
+    m = Mat2(MultiPoly.const(0, n), one, one, one) @ got
     if m.b != xn or m.d != one:
         report.add(0, 1, xn.terms, m.b.terms)
     return report

@@ -12,8 +12,7 @@ import time
 from typing import Callable
 
 from . import catalanz, cfseries, gf2sign, seq
-from .errors import (NoConvergenceError, NonUnitError, SingularMinorError,
-                     SizeGuardError, check_range)
+from .errors import NoConvergenceError, SizeGuardError, check_range
 from .report import VerifyReport
 
 DEFAULT_SIZE = 256
@@ -356,8 +355,7 @@ def run(argv: list[str]) -> int:
         return args.fn(args)
     except SystemExit as exc:  # argparse usage errors and explicit exits
         return exc.code if isinstance(exc.code, int) else 2
-    except (SizeGuardError, NonUnitError, SingularMinorError,
-            NoConvergenceError, ValueError) as exc:
+    except (NoConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +59,3 @@ class VerifyReport:
         if self.conjecture:
             d["conjecture"] = True
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())

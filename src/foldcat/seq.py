@@ -129,7 +129,9 @@ def fold_word(k: int) -> list[FoldLetter]:
     check_range("word level", k, 1, MAX_WORD_LEVEL)
     word = [FoldLetter(1, -1), FoldLetter(1, 1)]
     for level in range(2, k + 1):
-        word = word + [FoldLetter(level, 1), FoldLetter(level, -1)] + word[::-1]
+        half = len(word)
+        word += [FoldLetter(level, 1), FoldLetter(level, -1)]
+        word += word[half - 1::-1]
     return word
 
 

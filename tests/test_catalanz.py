@@ -578,7 +578,7 @@ def test_log_path_decides_outside_the_premise(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Stieltjes-table certificates behind verify_catalan_lu
+# the factor-row certificates behind verify_catalan_lu
 
 _lower_gram = catalanz._lower_gram
 _lower_matmul = catalanz._lower_matmul
@@ -639,8 +639,8 @@ def test_lu_report_matches_product_path_at_every_size(monkeypatch):
 def _lu_flips(kind, n):
     """Entries of an n x n matrix of the given kind to flip: those of
     _flips, one on the first subdiagonal and, for a Hankel matrix, some on
-    its first row and last column (which the moments are read from) and
-    one above the diagonal off them."""
+    its first row and last column (which hold its 2n - 1 values) and one
+    above the diagonal off them."""
     last = n - 1
     cells = set(_flips(n))
     if n > 1:
@@ -665,15 +665,15 @@ def test_flipped_lu_reports_match_product_path(monkeypatch, kind, n):
 
 
 @pytest.mark.parametrize("flips, products", [
-    # a fault in M alone leaves L the table: only the inverse is formed
+    # a fault in M alone leaves L a factor: only the inverse is formed
     ([(catalanz.MZ, 5, 2)], ["matmul"]),
     ([(catalanz.MTILDEZ, 15, 0)], ["matmul"]),
-    # H off its first row and last column leaves the moments, so the table
-    # is still L: only the Gram product is formed
+    # a fault in H leaves L a factor: only the Gram product is formed
     ([(catalanz.H_CAT, 6, 4)], ["gram"]),
-    # L not the table: both products of its pair
+    # L not a factor: both products of its pair
     ([(catalanz.LZ, 5, 2)], ["gram", "matmul"]),
-    ([(catalanz.H_CAT_SHIFT, 0, 9)], ["gram", "matmul"]),
+    # the inverse certificate does not read H
+    ([(catalanz.H_CAT_SHIFT, 0, 9)], ["gram"]),
     ([(catalanz.LZ, 7, 3), (catalanz.MTILDEZ, 3, 1)],
      ["gram", "matmul", "matmul"]),
 ])
@@ -688,20 +688,28 @@ def test_lu_forms_only_the_products_of_failing_identities(monkeypatch, flips,
     assert report.as_dict() == product_lu_report(n).as_dict()
 
 
-def test_lu_certificates_read_the_table():
-    # Catalan moments: every b_k is 1, a_0 = 1 and a_k = 2 after it (the
-    # certificate checks M's rows with -a)
-    n = 6
-    lmat, mmat, lt, mt = catalanz._factors(n)
-    for low, m, kind in ((lmat, mmat, catalanz.H_CAT),
-                         (lt, mt, catalanz.H_CAT_SHIFT)):
-        h = catalanz.build_catalan_matrix(kind, n)
-        assert catalanz._lu_certificates(low, h, m) == (True, True)
-        assert catalanz._lu_certificates(lt if low is lmat else lmat, h,
-                                         m) == (False, False)
-        # 2 low is the table of the moments of 2 h, but with pivots 2:
-        # 2 h = low (2 I) low^t, not (2 low) (2 low)^t
-        assert catalanz._lu_certificates(2 * low, 2 * h, m) == (False, False)
+@pytest.mark.parametrize("n, replace", [
+    (6, lambda kind, n, build: build(
+        catalanz.LTILDEZ if kind == catalanz.LZ else kind, n)),
+    # 2 L is the LU factor of 2 H with pivots 2: 2 H = L (2 I) L^t, not
+    # (2 L) (2 L)^t
+    (6, lambda kind, n, build: build(kind, n) * (
+        2 if kind in (catalanz.LZ, catalanz.H_CAT) else 1)),
+    # L L^t agrees with H on its first row and last column but is not
+    # Hankel: 1 + 3^2 at (1, 1)
+    (3, lambda kind, n, build: np.array(
+        [[1, 0, 0], [1, 3, 0], [2, 1, 3]], dtype=object)
+     if kind == catalanz.LZ else build(kind, n)),
+], ids=["l-built-as-ltilde", "l-and-h-doubled", "l-off-its-rows"])
+def test_lu_certifies_l_only_as_its_own_factor(monkeypatch, n, replace):
+    build = catalanz.build_catalan_matrix
+    monkeypatch.setattr(catalanz, "build_catalan_matrix",
+                        lambda kind, size: replace(kind, size, build))
+    calls = _spy_products(monkeypatch)
+    report = catalanz.verify_catalan_lu(n)
+    assert calls == ["gram", "matmul"]
+    assert not report.ok
+    assert report.as_dict() == product_lu_report(n).as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,31 @@ def test_word_matrix_closed_form(n):
     assert cfseries.verify_lemma5(n).ok
 
 
+def test_lemma5_reports_wrong_word_matrix_entries(monkeypatch):
+    # the forward product gets b + 1, the reversed one c - 1; b + 1 also
+    # breaks the convergent's d = b + d entry, reported at (0, 1)
+    real = cfseries.word_matrix
+    calls = []
+
+    def wrong(word):
+        got = real(word)
+        calls.append(word)
+        one = MultiPoly.const(1, got.a.nvars)
+        if len(calls) == 1:
+            return got._replace(b=got.b + one)
+        return got._replace(c=got.c - one)
+
+    monkeypatch.setattr(cfseries, "word_matrix", wrong)
+    report = cfseries.verify_lemma5(2)
+    assert calls == [seq.fold_word(2), seq.fold_word(2)[::-1]]
+    assert [(f.i, f.j, f.expected, f.got) for f in report.failures] == [
+        (0, 1, {(1, 0): -1, (2, 1): -1}, {(1, 0): -1, (2, 1): -1, (0, 0): 1}),
+        (1, 0, {(0, 0): 1, (1, 0): 2, (2, 0): 1}, {(1, 0): 2, (2, 0): 1}),
+        (0, 1, {(0, 0): 1, (1, 0): 1, (2, 1): 1},
+         {(0, 0): 1, (1, 0): 1, (2, 1): 1}),
+    ]
+
+
 def test_word_matrix_single_variable_substitution():
     # every variable to x: entries become univariate polynomials
     word = seq.fold_word(3)

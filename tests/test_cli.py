@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from foldcat import catalanz, cfseries, cli, gf2sign, seq
+from foldcat import catalanz, cfseries, cli, errors, gf2sign, seq
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,24 @@ def test_cf_order_guard(capsys, monkeypatch):
         assert code == 3, value
         assert out == ""
         assert f"[1, {limit}]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [
+    errors.NoConvergenceError("no convergence"), ValueError("bad value"),
+    errors.SizeGuardError("size out of range"),
+    errors.NonUnitError("zero constant term"), errors.SingularMinorError(4),
+    errors.InvariantError("an identity", (1, 2), 3, 4),
+], ids=lambda exc: type(exc).__name__)
+def test_library_errors_exit_3_without_traceback(capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cfseries, "cf_limit_example", fail)
+    code, out, err = run_cli(capsys, "cf", "--example", "1", "--order", "8")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {exc}\n"
+    assert "Traceback" not in err
 
 
 def test_seq_count_guard(capsys, monkeypatch):
