@@ -130,16 +130,6 @@ def _alt_conj(mat: np.ndarray) -> np.ndarray:
     return sv[:, None] * mat * sv[None, :]
 
 
-def _first_nonzero(mat: np.ndarray, lo: int, hi: int):
-    """First (i, j) in row-major order with lo <= j - i <= hi and
-    mat[i, j] != 0, or None."""
-    for i, row in enumerate(mat.tolist()):
-        for j in range(max(0, i + lo), min(len(row), i + hi + 1)):
-            if row[j] != 0:
-                return i, j
-    return None
-
-
 def _factors(n: int) -> tuple[np.ndarray, ...]:
     """L, M, L~ and M~ at size n.
 
@@ -151,9 +141,9 @@ def _factors(n: int) -> tuple[np.ndarray, ...]:
     upper = np.triu_indices(n, 1)
     for mat in mats:
         if mat[upper].any():
-            above = _first_nonzero(mat, 1, n)
-            raise InvariantError("lower-triangular factor", above, 0,
-                                 mat[above])
+            i, j = map(int, np.argwhere(np.triu(mat, 1))[0])
+            raise InvariantError("lower-triangular factor", (i, j), 0,
+                                 mat[i, j])
     return mats
 
 
@@ -251,9 +241,9 @@ def nilpotent_exp(g: np.ndarray) -> np.ndarray:
     """
     n = g.shape[0]
     check_range("size", n, 0, MAX_MATRIX_SIZE)
-    if _first_nonzero(g, 0, n) is not None:
+    if np.triu(g).any():
         raise ValueError("input must be strictly lower-triangular")
-    if _first_nonzero(g, -n, -2) is None:
+    if not np.tril(g, -2).any():
         return _subdiag_exp(np.diagonal(g, -1).tolist(), n)
     f = math.factorial(n - 1)
     return _power_series(g, [f // math.factorial(k) for k in range(n)], f)
@@ -271,7 +261,7 @@ def nilpotent_log(u: np.ndarray) -> np.ndarray:
     n = u.shape[0]
     check_range("size", n, 0, MAX_MATRIX_SIZE)
     nil = u - _identity(n)
-    if _first_nonzero(nil, 0, n) is not None:
+    if np.triu(nil).any():
         raise ValueError("input must be unipotent lower-triangular")
     lcm = math.lcm(*range(1, n))
     coeffs = [0] + [(lcm // k) * (-1) ** (k + 1) for k in range(1, n)]

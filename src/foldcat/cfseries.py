@@ -303,8 +303,10 @@ def verify_lemma5(n: int) -> VerifyReport:
                 report.add(pos // 2, pos % 2, e.terms, g.terms)
     # partial convergent identity: prefixing the unit numerator gives X_n
     m = Mat2(MultiPoly.const(0, n), one, one, one) @ got
-    if m.b != xn or m.d != one:
+    if m.b != xn:
         report.add(0, 1, xn.terms, m.b.terms)
+    if m.d != one:
+        report.add(1, 1, one.terms, m.d.terms)
     return report
 
 

@@ -19,6 +19,8 @@ DEFAULT_SIZE = 256
 # seq --kind s --count 1000000, one of the slowest kinds: 1.5 s and 180 MB
 # peak RSS (the recursions' caches) on a 2-vCPU Xeon (Python 3.11)
 MAX_SEQ_COUNT = 1_000_000
+# letters written per chunk by the word command
+_WORD_CHUNK = 1 << 16
 
 _SEQ_KINDS = {
     "s": (0, seq.s),
@@ -80,13 +82,20 @@ def _cmd_word(args) -> int:
     else:
         letters = [seq.fold_stream(args.index)]
     # W_k has only 2k distinct letters: each is formatted once, and the
-    # output joins references to those strings
+    # output is written in chunks of references to those strings, so no
+    # string of the whole word is built
     if args.format == "json":
         text = {let: json.dumps(list(let)) for let in set(letters)}
-        print(f"[{', '.join(map(text.__getitem__, letters))}]")
+        head, sep, tail = "[", ", ", "]"
     else:
         text = {let: _letter_str(let) for let in set(letters)}
-        print(_emit_values(list(map(text.__getitem__, letters)), args.format))
+        head, sep, tail = "", "," if args.format == "csv" else " ", ""
+    print(head, end="")
+    for start in range(0, len(letters), _WORD_CHUNK):
+        chunk = letters[start:start + _WORD_CHUNK]
+        print(sep if start else "", sep.join(map(text.__getitem__, chunk)),
+              sep="", end="")
+    print(tail)
     return 0
 
 

@@ -10,6 +10,7 @@ operands as packed bits and check their products one row block at a time.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import numpy as np
 
@@ -371,12 +372,15 @@ def _diag_rows(v: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _five_factor_rows(n: int):
-    """Row blocks of D_s L D_a L^t D_s, exact."""
-    lrows = _packed(L, n)  # also the columns of L^t
-    sv = sign_diag("s", n)
-    for start, core in _product(lrows, sign_diag("a", n), lrows, n):
-        yield start, sv[start:start + len(core), None] * core * sv[None, :]
+def _check_gram(report: VerifyReport, rows: np.ndarray, pivots: np.ndarray,
+                conj: np.ndarray, hankel) -> None:
+    """Compare D_c F D_p F^t D_c, F the matrix of the packed rows (which are
+    also the columns of F^t), p the pivots and c the conjugating signs, with
+    the Hankel rows hankel(start, stop), one row block at a time."""
+    for start, core in _product(rows, pivots, rows, rows.shape[1]):
+        stop = start + len(core)
+        report.compare(conj[start:stop, None] * core * conj[None, :],
+                       hankel(start, stop), start)
 
 
 def verify_thm2(n: int) -> VerifyReport:
@@ -387,9 +391,8 @@ def verify_thm2(n: int) -> VerifyReport:
     """
     check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm2", n)
-    for start, got in _five_factor_rows(n):
-        report.compare(got, hankel_bits(MU_SHIFT0, n, start,
-                                        start + len(got)), start)
+    _check_gram(report, _packed(L, n), sign_diag("a", n), sign_diag("s", n),
+                partial(hankel_bits, MU_SHIFT0, n))
     return report
 
 
@@ -404,10 +407,10 @@ def verify_thm3(n: int) -> VerifyReport:
     av = sign_diag("a", n)
     for start, got in _product(_packed(L, n), av, _packed(M, n, True), n):
         report.compare(got, _diag_rows(av, start, start + len(got)), start)
-    # P = D_s D_a M D_a D_s, so P (D_s L D_s) = D_s D_a M D_(a s s) L D_s
+    # P = D_s D_a M D_a D_s, so P (D_s L D_s) = D_s D_a M D_a L D_s, as
+    # D_s D_s = I
     ones = np.ones(n, dtype=np.int64)
-    for start, prod in _product(_packed(M, n), av * sv * sv,
-                                _packed(L, n, True), n):
+    for start, prod in _product(_packed(M, n), av, _packed(L, n, True), n):
         stop = start + len(prod)
         got = (sv * av)[start:stop, None] * prod * sv[None, :]
         report.compare(got, _diag_rows(ones, start, stop), start)
@@ -482,11 +485,8 @@ def verify_thm5(n: int) -> VerifyReport:
     report = VerifyReport("thm5", n)
     ltrows, mtrows = _packed(LTILDE, n), _packed(MTILDE, n)
     sv = sign_diag("stilde", n)
-    tv = sign_diag("ttilde", n)
-    for start, core in _product(ltrows, sv, ltrows, n):
-        stop = start + len(core)
-        report.compare(tv[start:stop, None] * core * tv[None, :],
-                       hankel_bits(MU_SHIFT1, n, start, stop), start)
+    _check_gram(report, ltrows, sv, sign_diag("ttilde", n),
+                partial(hankel_bits, MU_SHIFT1, n))
     for rows, cols in ((ltrows, _packed(MTILDE, n, True)),
                        (mtrows, _packed(LTILDE, n, True))):
         for start, got in _product(rows, sv, cols, n):
@@ -520,11 +520,12 @@ def verify_babab(n: int) -> VerifyReport:
     """Every block-recursion chain equals its formula-built matrix.
 
     Each chain is grown once, to the largest power of two top <= n, and
-    compared, one chain at a time, with its formula matrix built at top;
-    the level of size 2, 4, ..., top compares their leading size x size
-    blocks, row block by row block.  Failures are reported level by level,
-    and chain by chain within a level.  At the limit, MAX_BABAB_SIZE = 16383
-    (top 8192): 1.8 s and 158 MB.
+    compared once, row block by row block, with its formula matrix built at
+    top.  The level of size 2, 4, ..., top is the leading size x size block
+    of both, so its failures are read from that one comparison: those with
+    i, j < size.  Failures are reported level by level, and chain by chain
+    within a level.  At the limit, MAX_BABAB_SIZE = 16383 (top 8192): 1.8 s
+    and 158 MB.
     """
     check_range("size", n, 1, MAX_BABAB_SIZE)
     report = VerifyReport("babab", n)
@@ -532,22 +533,19 @@ def verify_babab(n: int) -> VerifyReport:
         return report
     top = 1 << (n.bit_length() - 1)
     steps = top.bit_length() - 2
-    sizes = [2 << k for k in range(steps + 1)]
-    # parts[level][chain], merged in level order once every chain is done
-    parts = [[VerifyReport("babab", n) for _ in _CHAINS] for _ in sizes]
-    for c, (rule, kind) in enumerate(_CHAINS):
+    found = []  # each chain's failures at top, in row-major order
+    for rule, kind in _CHAINS:
         want = build_tri(kind, top)
         chain = babab_expand(rule, steps)
+        part = VerifyReport("babab", n)
         for start, stop in _row_blocks(top, top):
-            for level, size in zip(parts, sizes):
-                if start < size:
-                    rows = slice(start, min(stop, size))
-                    level[c].compare(chain[rows, :size], want[rows, :size],
-                                     start)
+            part.compare(chain[start:stop], want[start:stop], start)
+        found.append(part.failures)
         del want, chain
-    for level in parts:
-        for part in level:
-            report.merge(part)
+    for size in (2 << k for k in range(steps + 1)):
+        for failures in found:
+            report.failures.extend(f for f in failures
+                                   if f.i < size and f.j < size)
     return report
 
 
@@ -582,11 +580,10 @@ def signed_hankel(eps: list[int], n: int, start: int = 0,
 
 
 def verify_eps(eps: list[int], n: int) -> VerifyReport:
-    """Conjugated factorization reproduces the sign-twisted Hankel matrix."""
+    """Conjugated factorization reproduces the sign-twisted Hankel matrix:
+    D_(s d) L D_a L^t D_(s d) == Hankel(eps), d = general_eps_diag(eps, n)."""
     report = VerifyReport("eps", n)
-    dvec = general_eps_diag(eps, n)
-    for start, got in _five_factor_rows(n):
-        stop = start + len(got)
-        report.compare(dvec[start:stop, None] * got * dvec[None, :],
-                       signed_hankel(eps, n, start, stop), start)
+    conj = general_eps_diag(eps, n) * sign_diag("s", n)
+    _check_gram(report, _packed(L, n), sign_diag("a", n), conj,
+                partial(signed_hankel, eps, n))
     return report

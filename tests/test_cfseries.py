@@ -112,7 +112,7 @@ def test_word_matrix_closed_form(n):
 
 def test_lemma5_reports_wrong_word_matrix_entries(monkeypatch):
     # the forward product gets b + 1, the reversed one c - 1; b + 1 also
-    # breaks the convergent's d = b + d entry, reported at (0, 1)
+    # breaks the convergent's d = b + d entry, reported at (1, 1)
     real = cfseries.word_matrix
     calls = []
 
@@ -130,8 +130,30 @@ def test_lemma5_reports_wrong_word_matrix_entries(monkeypatch):
     assert [(f.i, f.j, f.expected, f.got) for f in report.failures] == [
         (0, 1, {(1, 0): -1, (2, 1): -1}, {(1, 0): -1, (2, 1): -1, (0, 0): 1}),
         (1, 0, {(0, 0): 1, (1, 0): 2, (2, 0): 1}, {(1, 0): 2, (2, 0): 1}),
-        (0, 1, {(0, 0): 1, (1, 0): 1, (2, 1): 1},
-         {(0, 0): 1, (1, 0): 1, (2, 1): 1}),
+        (1, 1, {(0, 0): 1}, {(0, 0): 2}),
+    ]
+
+
+def test_lemma5_reports_both_convergent_entries_of_a_wrong_d(monkeypatch):
+    # d + 1 on the forward product breaks the convergent's b = d and its
+    # d = b + d, each reported with its own expected value
+    real = cfseries.word_matrix
+    calls = []
+
+    def wrong(word):
+        got = real(word)
+        calls.append(word)
+        if len(calls) == 1:
+            return got._replace(d=got.d + MultiPoly.const(1, got.d.nvars))
+        return got
+
+    monkeypatch.setattr(cfseries, "word_matrix", wrong)
+    report = cfseries.verify_lemma5(2)
+    xn = {(0, 0): 1, (1, 0): 1, (2, 1): 1}
+    assert [(f.i, f.j, f.expected, f.got) for f in report.failures] == [
+        (1, 1, xn, {**xn, (0, 0): 2}),
+        (0, 1, xn, {**xn, (0, 0): 2}),
+        (1, 1, {(0, 0): 1}, {(0, 0): 2}),
     ]
 
 

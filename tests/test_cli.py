@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldcat import catalanz, cfseries, cli, errors, gf2sign, seq
 
@@ -310,6 +313,63 @@ def test_emitted_output_is_unchanged(capsys, argv):
         code, out, _ = run_cli(capsys, "--format", fmt, *argv)
         assert code == 0
         assert out == want, fmt
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 13, 14, 15])
+def test_word_output_is_the_same_in_any_chunks(capsys, monkeypatch, chunk):
+    # the 14 letters of W_3 in chunks that split it anywhere, or not at all
+    monkeypatch.setattr(cli, "_WORD_CHUNK", chunk)
+    for fmt, want in zip(("plain", "csv", "json"),
+                         _EMITTED[("word", "--level", "3")]):
+        code, out, _ = run_cli(capsys, "--format", fmt, "word", "--level", "3")
+        assert code == 0
+        assert out == want, fmt
+
+
+# every documented subcommand with small values, values at or below zero,
+# and one above every guard's range
+_VALUE = st.one_of(st.integers(-2, 64), st.just(cli.MAX_SEQ_COUNT + 1))
+
+
+def _option(name, values=_VALUE):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _choice(name, choices):
+    return st.sampled_from(sorted(choices)).map(lambda v: [name, v])
+
+
+_COMMANDS = st.one_of(*(
+    st.tuples(st.just([command]), *options).map(lambda parts: sum(parts, []))
+    for command, *options in (
+        ("seq", _choice("--kind", cli._SEQ_KINDS), _option("--count")),
+        ("word", _option("--level")),
+        ("word", _option("--index", st.integers(-3, 64))),
+        ("matrix", _choice("--kind", [*cli._TRI_KINDS, *cli._BIG_KINDS]),
+         _option("--size")),
+        ("hankel", _choice("--source",
+                           ["mu", "mu-shift", "catalan", "catalan-shift"]),
+         _option("--size")),
+        ("cf", _option("--example", st.integers(0, 4)), _option("--order")),
+        ("jacobi", _option("--depth")),
+        ("dets", _option("--max")),
+        ("unique", st.lists(st.integers(-2, 2), max_size=8).map(
+            lambda c: ["--check", ",".join(map(str, c))])),
+        ("unique", _option("--search")),
+        ("verify", _choice("--suite", [*cli._suite_runners(1, 0), "all",
+                                       "bogus"]),
+         _option("--size")),
+    )))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(fmt=st.sampled_from(["plain", "csv", "json"]), argv=_COMMANDS)
+def test_every_command_exits_with_a_code_and_no_traceback(fmt, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["--format", fmt, *argv])
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
 
 
 def test_verify_checks_every_suite_size_before_running(capsys, monkeypatch):
