@@ -502,12 +502,12 @@ def verify_thm4(n: int) -> VerifyReport:
     for k in range(1, n):
         if cf.b[k - 1] != -1:
             report.add(k, k - 1, -1, cf.b[k - 1])
-    # det S(k) via the three-term recursion equals s(k)
+    # det S(k), by the three-term recursion of the extracted a, b, is s(k)
     det_prev2, det_prev = 1, cf.a[0]
     if det_prev != seq.s(1):
         report.add(0, 0, seq.s(1), det_prev)
     for k in range(2, n + 1):
-        det_k = seq.d(k) * det_prev + det_prev2
+        det_k = cf.a[k - 1] * det_prev - cf.b[k - 2] * det_prev2
         if det_k != seq.s(k):
             report.add(k - 1, k - 1, seq.s(k), det_k)
         det_prev2, det_prev = det_prev, det_k

@@ -9,7 +9,7 @@ import random
 import re
 import sys
 import time
-from typing import Callable
+from functools import partial
 
 from . import catalanz, cfseries, gf2sign, seq
 from .errors import NoConvergenceError, SizeGuardError, check_range
@@ -32,14 +32,26 @@ _SEQ_KINDS = {
     "example1": (1, seq.example1_sign),
 }
 
-_TRI_KINDS = {
-    "L": gf2sign.L, "M": gf2sign.M, "Ltilde": gf2sign.LTILDE,
-    "Mtilde": gf2sign.MTILDE, "Ltilde0": gf2sign.LTILDE0,
-    "Mtilde0": gf2sign.MTILDE0,
+# matrix --kind and hankel --source: name -> builder of the size-n matrix,
+# in --help order
+_MATRICES = {
+    "L": partial(gf2sign.build_tri, gf2sign.L),
+    "Ltilde": partial(gf2sign.build_tri, gf2sign.LTILDE),
+    "Ltilde0": partial(gf2sign.build_tri, gf2sign.LTILDE0),
+    "M": partial(gf2sign.build_tri, gf2sign.M),
+    "Mtilde": partial(gf2sign.build_tri, gf2sign.MTILDE),
+    "Mtilde0": partial(gf2sign.build_tri, gf2sign.MTILDE0),
+    "LZ": partial(catalanz.build_catalan_matrix, catalanz.LZ),
+    "LtildeZ": partial(catalanz.build_catalan_matrix, catalanz.LTILDEZ),
+    "MZ": partial(catalanz.build_catalan_matrix, catalanz.MZ),
+    "MtildeZ": partial(catalanz.build_catalan_matrix, catalanz.MTILDEZ),
 }
-_BIG_KINDS = {
-    "LZ": catalanz.LZ, "MZ": catalanz.MZ,
-    "LtildeZ": catalanz.LTILDEZ, "MtildeZ": catalanz.MTILDEZ,
+_HANKELS = {
+    "mu": partial(gf2sign.hankel_bits, gf2sign.MU_SHIFT0),
+    "mu-shift": partial(gf2sign.hankel_bits, gf2sign.MU_SHIFT1),
+    "catalan": partial(catalanz.build_catalan_matrix, catalanz.H_CAT),
+    "catalan-shift": partial(catalanz.build_catalan_matrix,
+                             catalanz.H_CAT_SHIFT),
 }
 
 
@@ -100,24 +112,12 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    if args.kind in _TRI_KINDS:
-        mat = gf2sign.build_tri(_TRI_KINDS[args.kind], args.size)
-    else:
-        mat = catalanz.build_catalan_matrix(_BIG_KINDS[args.kind], args.size)
-    _print_matrix(mat, args.format)
+    _print_matrix(_MATRICES[args.kind](args.size), args.format)
     return 0
 
 
 def _cmd_hankel(args) -> int:
-    if args.source == "mu":
-        mat = gf2sign.hankel_bits(gf2sign.MU_SHIFT0, args.size)
-    elif args.source == "mu-shift":
-        mat = gf2sign.hankel_bits(gf2sign.MU_SHIFT1, args.size)
-    elif args.source == "catalan":
-        mat = catalanz.build_catalan_matrix(catalanz.H_CAT, args.size)
-    else:
-        mat = catalanz.build_catalan_matrix(catalanz.H_CAT_SHIFT, args.size)
-    _print_matrix(mat, args.format)
+    _print_matrix(_HANKELS[args.source](args.size), args.format)
     return 0
 
 
@@ -176,94 +176,84 @@ def _cmd_unique(args) -> int:
     return 0
 
 
-def _random_eps(rng: random.Random, n: int) -> list[int]:
-    length = n.bit_length() + 1
-    return [1] + [rng.choice((-1, 1)) for _ in range(length - 1)]
+def _run_eps(n: int, rng: random.Random) -> VerifyReport:
+    """verify_eps for 10 sign sequences eps drawn from rng, eps_0 = 1."""
+    report = VerifyReport("eps", n)
+    for _ in range(10):
+        eps = [1] + [rng.choice((-1, 1)) for _ in range(n.bit_length())]
+        report.merge(gf2sign.verify_eps(eps, n))
+    return report
 
 
-def _suite_runners(size: int,
-                   seed: int) -> dict[str, Callable[[], VerifyReport]]:
-    rng = random.Random(seed)
-
-    def run_eps() -> VerifyReport:
-        n = min(size, 64)
-        report = VerifyReport("eps", n)
-        for _ in range(10):
-            report.merge(gf2sign.verify_eps(_random_eps(rng, n), n))
-        return report
-
-    def run_unique_search() -> VerifyReport:
-        length = 8
-        report = VerifyReport("unique-search", length)
-        survivors = set(cfseries.uniqueness_search(length))
-        # the +-1-at-indices-2^k-1 sequences, zero elsewhere
-        slots = [m for m in range(length) if (m + 1) & m == 0]
-        expected = set()
-        for signs in itertools.product((-1, 1), repeat=len(slots)):
-            cand = [0] * length
-            for m, sign in zip(slots, signs):
-                cand[m] = sign
-            expected.add(tuple(cand))
-        for extra in sorted(survivors - expected):
-            report.add(0, 0, "not a survivor", list(extra))
-        for missing in sorted(expected - survivors):
-            report.add(0, 0, list(missing), "missing survivor")
-        return report
-
-    return {
-        "thm1": lambda: cfseries.verify_thm1(),
-        "thm2": lambda: gf2sign.verify_thm2(size),
-        "thm3": lambda: gf2sign.verify_thm3(size),
-        "thm4": lambda: cfseries.verify_thm4(min(size, 48)),
-        "thm5": lambda: gf2sign.verify_thm5(size),
-        "mdl": lambda: gf2sign.verify_prop_mdl(size),
-        "ml-lm": lambda: gf2sign.verify_prop_ml_lm(size),
-        "babab": lambda: gf2sign.verify_babab(size),
-        "lemma5": lambda: cfseries.verify_lemma5(4),
-        "catalan-lu": lambda: catalanz.verify_catalan_lu(min(size, 64)),
-        "exp-products": lambda: catalanz.verify_exp_products(min(size, 48)),
-        "log-conjecture": lambda: catalanz.check_log_conjecture(min(size, 48)),
-        "eps": run_eps,
-        "dets": lambda: cfseries.verify_det_identities(min(size, 32)),
-        "unique-search": run_unique_search,
-    }
+def _run_unique_search(_size: int, _rng: random.Random) -> VerifyReport:
+    """The survivors of length 8 are the +-1-at-indices-2^k-1 sequences,
+    zero elsewhere."""
+    length = 8
+    report = VerifyReport("unique-search", length)
+    survivors = set(cfseries.uniqueness_search(length))
+    slots = [m for m in range(length) if (m + 1) & m == 0]
+    expected = set()
+    for signs in itertools.product((-1, 1), repeat=len(slots)):
+        cand = [0] * length
+        for m, sign in zip(slots, signs):
+            cand[m] = sign
+        expected.add(tuple(cand))
+    for extra in sorted(survivors - expected):
+        report.add(0, 0, "not a survivor", list(extra))
+    for missing in sorted(expected - survivors):
+        report.add(0, 0, list(missing), "missing survivor")
+    return report
 
 
-# the --size range of each suite that reads --size is [1, limit], where limit
-# is the suite's own guard, or None where its runner clamps --size first;
-# the other suites ignore --size
-_SUITE_SIZE_LIMITS = {
-    "thm2": gf2sign.MAX_SIZE, "thm3": gf2sign.MAX_SIZE, "thm4": None,
-    "thm5": gf2sign.MAX_SIZE, "mdl": gf2sign.MAX_SIZE,
-    "ml-lm": gf2sign.MAX_ML_LM_SIZE, "babab": gf2sign.MAX_BABAB_SIZE,
-    "catalan-lu": None, "exp-products": None, "log-conjecture": None,
-    "eps": None, "dets": None,
+# suite -> (runner, limit, clamp).  The runner takes the size the suite runs
+# at and the verify call's seeded Random.  A suite with a limit admits --size
+# in [1, limit] and runs at it; a suite with a clamp admits any --size >= 1
+# and runs at min(size, clamp); a suite with neither ignores --size.
+_SUITES = {
+    "thm1": (lambda _n, _: cfseries.verify_thm1(), None, None),
+    "thm2": (lambda n, _: gf2sign.verify_thm2(n), gf2sign.MAX_SIZE, None),
+    "thm3": (lambda n, _: gf2sign.verify_thm3(n), gf2sign.MAX_SIZE, None),
+    "thm4": (lambda n, _: cfseries.verify_thm4(n), None, 48),
+    "thm5": (lambda n, _: gf2sign.verify_thm5(n), gf2sign.MAX_SIZE, None),
+    "mdl": (lambda n, _: gf2sign.verify_prop_mdl(n), gf2sign.MAX_SIZE, None),
+    "ml-lm": (lambda n, _: gf2sign.verify_prop_ml_lm(n),
+              gf2sign.MAX_ML_LM_SIZE, None),
+    "babab": (lambda n, _: gf2sign.verify_babab(n), gf2sign.MAX_BABAB_SIZE,
+              None),
+    "lemma5": (lambda _n, _: cfseries.verify_lemma5(4), None, None),
+    "catalan-lu": (lambda n, _: catalanz.verify_catalan_lu(n), None, 64),
+    "exp-products": (lambda n, _: catalanz.verify_exp_products(n), None, 48),
+    "log-conjecture": (lambda n, _: catalanz.check_log_conjecture(n), None,
+                       48),
+    "eps": (_run_eps, None, 64),
+    "dets": (lambda n, _: cfseries.verify_det_identities(n), None, 32),
+    "unique-search": (_run_unique_search, None, None),
 }
 
 
 def _check_suite_sizes(names: list[str], size: int) -> None:
     for name in names:
-        if name not in _SUITE_SIZE_LIMITS:
-            continue
-        limit = _SUITE_SIZE_LIMITS[name]
+        _, limit, clamp = _SUITES[name]
         if limit is not None:
             check_range(f"suite {name}: size", size, 1, limit)
-        elif size < 1:
+        elif clamp is not None and size < 1:
             raise SizeGuardError(
                 f"suite {name}: size must be at least 1, got {size}")
 
 
 def _cmd_verify(args) -> int:
-    runners = _suite_runners(args.size, args.seed)
-    if args.suite != "all" and args.suite not in runners:
+    if args.suite != "all" and args.suite not in _SUITES:
         raise SystemExit(_usage_error(f"unknown suite {args.suite!r}"))
-    names = list(runners) if args.suite == "all" else [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     _check_suite_sizes(names, args.size)
+    rng = random.Random(args.seed)
     results = []
     failed = False
     for name in names:
+        run, _, clamp = _SUITES[name]
         t0 = time.perf_counter()
-        report = runners[name]()
+        report = run(args.size if clamp is None else min(args.size, clamp),
+                     rng)
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
         entry = report.as_dict()
         entry["elapsed_ms"] = elapsed_ms
@@ -309,15 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_word)
 
     p = sub.add_parser("matrix", help="print a triangular matrix")
-    p.add_argument("--kind", choices=sorted(_TRI_KINDS) + sorted(_BIG_KINDS),
-                   required=True)
+    p.add_argument("--kind", choices=_MATRICES, required=True)
     p.add_argument("--size", type=int, required=True)
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("hankel", help="print a Hankel matrix")
-    p.add_argument("--source",
-                   choices=("mu", "mu-shift", "catalan", "catalan-shift"),
-                   required=True)
+    p.add_argument("--source", choices=_HANKELS, required=True)
     p.add_argument("--size", type=int, required=True)
     p.set_defaults(fn=_cmd_hankel)
 

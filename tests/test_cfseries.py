@@ -431,6 +431,22 @@ def test_mu_jacobi_verification(n):
     assert cfseries.verify_thm4(n).ok
 
 
+def test_thm4_det_statement_reads_the_extracted_table(monkeypatch):
+    # a wrong a_4 breaks both the a = d statement and det S(5) = s(5)
+    real = cfseries.stieltjes_extract
+
+    def wrong_a4(moments, n):
+        cf = real(moments, n)
+        cf.a[4] += 1
+        return cf
+
+    monkeypatch.setattr(cfseries, "stieltjes_extract", wrong_a4)
+    failures = [(f.i, f.j, f.expected, f.got)
+                for f in cfseries.verify_thm4(12).failures]
+    # a_4 = d(5) = 2 read as 3, and det S(5) = s(5) = -1 read as -2
+    assert failures[:2] == [(4, 4, 2, 3), (4, 4, -1, -2)]
+
+
 def test_stieltjes_depth_guard_names_real_limit(monkeypatch):
     # depth n reads the table of H(n + 1), so the minor limit caps the
     # depth one lower; the guard runs before the table

@@ -52,6 +52,15 @@ def test_word_index_output(capsys):
     assert json.loads(out) == [[2, 1]]
 
 
+@pytest.mark.parametrize("index", [0, -3, seq.MAX_WORD_INDEX + 1])
+def test_word_index_guard_names_index_and_range(capsys, index):
+    code, out, err = run_cli(capsys, "word", "--index", str(index))
+    assert code == 3
+    assert out == ""
+    assert (f"index must be in [1, {seq.MAX_WORD_INDEX}], got {index}"
+            in err), err
+
+
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_word_output_matches_letter_by_letter_oracle(capsys, fmt):
     # the text each letter had when every letter was formatted on its own
@@ -345,19 +354,15 @@ _COMMANDS = st.one_of(*(
         ("seq", _choice("--kind", cli._SEQ_KINDS), _option("--count")),
         ("word", _option("--level")),
         ("word", _option("--index", st.integers(-3, 64))),
-        ("matrix", _choice("--kind", [*cli._TRI_KINDS, *cli._BIG_KINDS]),
-         _option("--size")),
-        ("hankel", _choice("--source",
-                           ["mu", "mu-shift", "catalan", "catalan-shift"]),
-         _option("--size")),
+        ("matrix", _choice("--kind", cli._MATRICES), _option("--size")),
+        ("hankel", _choice("--source", cli._HANKELS), _option("--size")),
         ("cf", _option("--example", st.integers(0, 4)), _option("--order")),
         ("jacobi", _option("--depth")),
         ("dets", _option("--max")),
         ("unique", st.lists(st.integers(-2, 2), max_size=8).map(
             lambda c: ["--check", ",".join(map(str, c))])),
         ("unique", _option("--search")),
-        ("verify", _choice("--suite", [*cli._suite_runners(1, 0), "all",
-                                       "bogus"]),
+        ("verify", _choice("--suite", [*cli._SUITES, "all", "bogus"]),
          _option("--size")),
     )))
 
@@ -373,14 +378,12 @@ def test_every_command_exits_with_a_code_and_no_traceback(fmt, argv):
 
 
 def test_verify_checks_every_suite_size_before_running(capsys, monkeypatch):
-    real = cli._suite_runners
+    def boom(size, rng):
+        raise AssertionError("a suite ran before the size checks")
 
-    def no_runs(size, seed):
-        def boom():
-            raise AssertionError("a suite ran before the size checks")
-        return {name: boom for name in real(size, seed)}
-
-    monkeypatch.setattr(cli, "_suite_runners", no_runs)
+    monkeypatch.setattr(cli, "_SUITES", {
+        name: (boom, limit, clamp)
+        for name, (_, limit, clamp) in cli._SUITES.items()})
     cases = [
         (["all", "0"], "suite thm2: size must be in [1, 16384], got 0"),
         (["all", "9000"], "suite ml-lm: size must be in [1, 8192]"),
@@ -442,6 +445,22 @@ def test_verify_unknown_suite_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_unique_search_reports_extra_and_missing(capsys, monkeypatch):
+    # a search that loses one pattern sequence and finds one that is not a
+    # pattern (it is nonzero at index 2)
+    found = sorted(cfseries.uniqueness_search(8))
+    monkeypatch.setattr(cfseries, "uniqueness_search",
+                        lambda length: found[1:] + [(1,) * length])
+    code, out, _ = run_cli(capsys, "--format", "json", "verify",
+                           "--suite", "unique-search")
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        {"i": 0, "j": 0, "expected": "not a survivor", "got": str([1] * 8)},
+        {"i": 0, "j": 0, "expected": str(list(found[0])),
+         "got": "missing survivor"},
+    ]
 
 
 def test_verify_all_small(capsys):

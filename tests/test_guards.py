@@ -2,6 +2,7 @@
 through errors.check_range, with the limit and the value, before any work."""
 
 import argparse
+import random
 import sys
 
 import numpy as np
@@ -78,7 +79,9 @@ SITES = [
 ] + [
     ("cli._check_suite_sizes",
      lambda n, name=name: cli._check_suite_sizes([name], n), 1, limit)
-    for name, limit in cli._SUITE_SIZE_LIMITS.items() if limit is not None
+    for name, (_, limit, _) in cli._SUITES.items() if limit is not None
+] + [
+    ("seq.fold_stream", seq.fold_stream, 1, seq.MAX_WORD_INDEX),
 ]
 
 # guards on a length or a shape, which has no value below 0
@@ -106,25 +109,50 @@ def test_table_covers_every_check_range_site():
             == {site for site, *_ in CASES})
 
 
-@pytest.mark.parametrize("site, call, lo, hi, values", CASES,
-                         ids=[f"{site}-{i}" for i, (site, *_)
-                              in enumerate(CASES)])
-def test_guard_refuses_out_of_range_before_any_work(site, call, lo, hi,
-                                                    values):
+def _refused(call, value, lo, hi):
+    """Names of the package functions entered by call(value), which must
+    raise SizeGuardError naming the range [lo, hi] and the value."""
     entered = set()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(str(SRC)):
             entered.add(frame.f_code.co_name)
 
+    sys.setprofile(profile)
+    try:
+        with pytest.raises(SizeGuardError) as info:
+            call(value)
+    finally:
+        sys.setprofile(None)
+    assert str(info.value).endswith(
+        f"must be in [{lo}, {hi}], got {value}"), str(info.value)
+    return entered
+
+
+@pytest.mark.parametrize("site, call, lo, hi, values", CASES,
+                         ids=[f"{site}-{i}" for i, (site, *_)
+                              in enumerate(CASES)])
+def test_guard_refuses_out_of_range_before_any_work(site, call, lo, hi,
+                                                    values):
     for value in values:
-        entered.clear()
-        sys.setprofile(profile)
-        try:
-            with pytest.raises(SizeGuardError) as info:
-                call(value)
-        finally:
-            sys.setprofile(None)
-        assert str(info.value).endswith(
-            f"must be in [{lo}, {hi}], got {value}"), str(info.value)
+        entered = _refused(call, value, lo, hi)
         assert entered - _PASS_THROUGH <= {site.split(".")[1]}, entered
+
+
+@pytest.mark.parametrize("name", [name for name, (_, limit, _)
+                                  in cli._SUITES.items() if limit is not None])
+def test_suite_limit_is_its_verifiers_guard(name):
+    # verify checks --size against the table's copy of the limit; the
+    # suite's verifier refuses limit + 1 with the same range, before work
+    run, limit, _ = cli._SUITES[name]
+    entered = _refused(lambda n: run(n, None), limit + 1, 1, limit)
+    verifier = entered - _PASS_THROUGH - {"<lambda>"}
+    assert len(verifier) == 1 and verifier.pop().startswith("verify_"), entered
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, clamp)
+                                  in cli._SUITES.items() if clamp is not None])
+def test_suite_clamp_is_admitted_by_its_verifier(name):
+    run, _, clamp = cli._SUITES[name]
+    report = run(clamp, random.Random(0))
+    assert report.ok and report.size == clamp

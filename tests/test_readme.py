@@ -41,3 +41,22 @@ def test_readme_example(capsys, argv, comment):
     out = capsys.readouterr().out
     if argv[0] in LITERAL:
         assert out == comment + "\n"
+
+
+def test_readme_states_each_suites_clamp_and_fixed_size():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    clamps, fixed = re.search(r"Some suites clamp `--size`: (.*?)\. Each",
+                              text).group(1).split("; ")
+    stated = {name: int(size) for names, size in
+              re.findall(r"((?:[\w-]+ and )?[\w-]+) to (\d+)", clamps)
+              for name in names.split(" and ")}
+    assert stated == {name: clamp for name, (_, _, clamp)
+                      in cli._SUITES.items() if clamp is not None}
+    # the suites that ignore --size and run at one size of their own
+    runs = re.findall(r"([\w-]+) (?:always runs )?at (?:length )?(\d+)",
+                      fixed)
+    assert [name for name, _ in runs] == ["unique-search", "lemma5"]
+    for name, size in runs:
+        run, limit, clamp = cli._SUITES[name]
+        assert limit is None and clamp is None
+        assert run(1, None).size == int(size)
