@@ -190,10 +190,9 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def var(cls, index: int, nvars: int, sign: int = 1,
-            power: int = 1) -> "MultiPoly":
+    def var(cls, index: int, nvars: int, sign: int = 1) -> "MultiPoly":
         e = [0] * nvars
-        e[index - 1] = power
+        e[index - 1] = 1
         return cls(nvars, {tuple(e): sign})
 
     def __eq__(self, other) -> bool:
@@ -239,27 +238,16 @@ class Mat2(NamedTuple):
         return self.a * self.d - self.b * self.c
 
 
-def word_matrix(word: Sequence[seq.FoldLetter],
-                subst: dict[int, int] | None = None) -> Mat2:
-    """Product of [[0, u], [1, 1]] over the letters u of the word.
-
-    Without subst the entries are multivariate polynomials; with subst
-    each variable index is replaced by a power of a single variable x.
-    """
+def word_matrix(word: Sequence[seq.FoldLetter]) -> Mat2:
+    """Product of [[0, u], [1, 1]] over the letters u = sign * x_var of the
+    word, with multivariate polynomial entries in x_1..x_nvars, nvars the
+    largest variable index of the word (1 for the empty word)."""
     check_range("word length", len(word), 0, MAX_WORD_LEN)
-    if subst is None:
-        nvars = max((let.var_index for let in word), default=1)
-        check_range("variable count", nvars, 1, MAX_VARS)
-        letters = [MultiPoly.var(let.var_index, nvars, let.sign)
-                   for let in word]
-        one = MultiPoly.const(1, nvars)
-        zero = MultiPoly.const(0, nvars)
-    else:
-        nvars = 1
-        letters = [MultiPoly.var(1, 1, let.sign, subst[let.var_index])
-                   for let in word]
-        one = MultiPoly.const(1, 1)
-        zero = MultiPoly.const(0, 1)
+    nvars = max((let.var_index for let in word), default=1)
+    check_range("variable count", nvars, 1, MAX_VARS)
+    letters = [MultiPoly.var(let.var_index, nvars, let.sign) for let in word]
+    one = MultiPoly.const(1, nvars)
+    zero = MultiPoly.const(0, nvars)
     out = Mat2(one, zero, zero, one)
     for u in letters:
         out = out @ Mat2(zero, u, one, one)
@@ -313,9 +301,8 @@ def verify_lemma5(n: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # continued fractions with monomial numerators (integer coefficients)
 
-def cf_limit(numerators: Iterable[tuple[int, int]], order: int,
-             b0: int = 0) -> TruncSeries:
-    """Limit of b0 + a1/(1 + a2/(1 + ...)) with monomial numerators.
+def cf_limit(numerators: Iterable[tuple[int, int]], order: int) -> TruncSeries:
+    """Limit of a1/(1 + a2/(1 + ...)) with monomial numerators.
 
     numerators yields (sign, exponent) pairs for a_k = sign * x^exponent
     (exponent >= 1 so the agreement order of consecutive convergents
@@ -324,7 +311,7 @@ def cf_limit(numerators: Iterable[tuple[int, int]], order: int,
     agree to the truncation order, which is checked by explicit division.
     """
     p_prev, q_prev = TruncSeries([1], order), TruncSeries([], order)  # -1
-    p_cur, q_cur = TruncSeries([b0], order), TruncSeries([1], order)   # 0
+    p_cur, q_cur = TruncSeries([], order), TruncSeries([1], order)    # 0
     expsum = 0
     steps = 0
     for sign, exp in numerators:
@@ -367,20 +354,17 @@ def cf_limit_example(example: int, order: int) -> TruncSeries:
     return cf_limit(example_numerators(example), order)
 
 
-def jacobi_series(a: Sequence, b: Sequence, order: int,
-                  depth: int | None = None) -> TruncSeries:
+def jacobi_series(a: Sequence, b: Sequence, order: int) -> TruncSeries:
     """Series of the Jacobi fraction 1/(1 - a0 x - b1 x^2/(1 - a1 x - ...)).
 
-    a = (a0, a1, ...), b = (b1, b2, ...); the convergent of the given
-    depth (default len(a)) is expanded to the truncation order.
+    a = (a0, a1, ...), b = (b1, b2, ...); the convergent of depth len(a),
+    which reads b1..b_(len(a)-1), is expanded to the truncation order.
     """
-    if depth is None:
-        depth = len(a)
-    if depth < 1 or depth > len(a) or depth - 1 > len(b):
-        raise ValueError("depth out of range for the given coefficients")
+    if not a or len(b) < len(a) - 1:
+        raise ValueError("need a nonempty a and len(b) >= len(a) - 1")
     p_prev, q_prev = TruncSeries([1], order), TruncSeries([], order)
     p_cur, q_cur = TruncSeries([], order), TruncSeries([1], order)
-    for k in range(depth):
+    for k in range(len(a)):
         # next = (1 - a_k x) cur + num prev, num = -b_k x^2, or 1 at k = 0
         minus_a = -_exact(a[k])
         num, e = (-_exact(b[k - 1]), 2) if k else (1, 0)
@@ -664,33 +648,23 @@ def uniqueness_check(c: Sequence[int]) -> UniquenessResult:
 
 
 def uniqueness_search(length: int) -> list[tuple[int, ...]]:
-    """All length-n sequences over {-1,0,1} passing the determinant test.
+    """All length-n sequences over {-1,0,1} passing the determinant test,
+    in lexicographic order.
 
-    Depth-first enumeration with pruning: each new entry completes at
-    most one new Hankel or shifted-Hankel determinant, which is checked
-    immediately.  Every survivor must match the +-power-of-two pattern
-    via uniqueness_check, or InvariantError is raised.
+    Entry m completes one minor, of order m // 2 + 1, of the Hankel matrix
+    (even m) or the shifted Hankel matrix (odd m); each step extends every
+    surviving prefix by -1, 0 and 1 and keeps those whose new minor is +-1.
+    Every survivor must match the +-power-of-two pattern via
+    uniqueness_check, or InvariantError is raised.
     """
     check_range("length", length, 2, MAX_SEARCH_LEN)
-    survivors: list[tuple[int, ...]] = []
-
-    def newly_complete(prefix: list[int]) -> bool:
-        m = len(prefix) - 1  # index just placed
+    survivors: list[tuple[int, ...]] = [()]
+    for m in range(length):
         shift, n = m % 2, m // 2 + 1
-        det = det_int([prefix[i + shift:i + shift + n] for i in range(n)])
-        return det in (-1, 1)
-
-    def descend(prefix: list[int]) -> None:
-        if len(prefix) == length:
-            survivors.append(tuple(prefix))
-            return
-        for v in (-1, 0, 1):
-            prefix.append(v)
-            if newly_complete(prefix):
-                descend(prefix)
-            prefix.pop()
-
-    descend([])
+        extended = [prefix + (v,) for prefix in survivors for v in (-1, 0, 1)]
+        survivors = [c for c in extended
+                     if det_int([list(c[i + shift:i + shift + n])
+                                 for i in range(n)]) in (-1, 1)]
     for cand in survivors:
         result = uniqueness_check(cand)
         if not result.ok:

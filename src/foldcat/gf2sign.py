@@ -561,7 +561,8 @@ def general_eps_diag(eps: list[int], n: int) -> np.ndarray:
     if any(e not in (-1, 1) for e in eps):
         raise ValueError("eps entries must be +-1")
     if (1 << (len(eps) - 1)) < n:
-        raise SizeGuardError("eps too short: need 2^(len(eps)-1) >= size")
+        raise SizeGuardError(f"eps of length {len(eps)} covers sizes up to "
+                             f"{1 << (len(eps) - 1)}, got size {n}")
     c = [eps[1] if len(eps) > 1 else 1]
     for j in range(1, len(eps) - 1):
         c.append(eps[j] * eps[j + 1])

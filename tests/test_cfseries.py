@@ -157,19 +157,14 @@ def test_lemma5_reports_both_convergent_entries_of_a_wrong_d(monkeypatch):
     ]
 
 
-def test_word_matrix_single_variable_substitution():
-    # every variable to x: entries become univariate polynomials
-    word = seq.fold_word(3)
-    subst = {v: 1 for v in range(1, 4)}
-    m = word_matrix(word, subst)
-    m_multi = word_matrix(word)
-    # substituted b-entry equals the multivariate b-entry with all x_i = x
+@pytest.mark.parametrize("k", range(1, cfseries.MAX_LEMMA5_LEVEL + 1))
+def test_word_matrix_b_entry_with_every_variable_x(k):
+    # every x_i = x: b = 1 - X_k(x, ..., x) = -(x + x^3 + ... + x^(2^k - 1))
     collapsed = {}
-    for e, c in m_multi.b.terms.items():
-        deg = sum(e)
-        collapsed[deg] = collapsed.get(deg, 0) + c
-    collapsed = {(k,): v for k, v in collapsed.items() if v}
-    assert m.b.terms == collapsed
+    for e, c in word_matrix(seq.fold_word(k)).b.terms.items():
+        collapsed[sum(e)] = collapsed.get(sum(e), 0) + c
+    assert {deg: c for deg, c in collapsed.items() if c} == \
+        {(1 << j) - 1: -1 for j in range(1, k + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +292,9 @@ def _oracle_series_div(p, q, order):
     return out
 
 
-def _oracle_cf_limit(numerators, order, b0=0):
+def _oracle_cf_limit(numerators, order):
     p_prev, q_prev = [1], [0]
-    p_cur, q_cur = [b0], [1]
+    p_cur, q_cur = [0], [1]
     expsum = 0
     steps = 0
     for sign, exp in numerators:
@@ -335,11 +330,11 @@ def _outcome(call):
 
 @given(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(1, 4)),
                 max_size=60),
-       st.integers(1, 25), st.integers(-2, 2))
+       st.integers(1, 25))
 @settings(max_examples=150)
-def test_cf_limit_matches_dense_oracle(stream, order, b0):
-    assert _outcome(lambda: cf_limit(iter(stream), order, b0)) == \
-        _outcome(lambda: _oracle_cf_limit(iter(stream), order, b0))
+def test_cf_limit_matches_dense_oracle(stream, order):
+    assert _outcome(lambda: cf_limit(iter(stream), order)) == \
+        _outcome(lambda: _oracle_cf_limit(iter(stream), order))
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])
@@ -361,7 +356,7 @@ def test_jacobi_series_catalan():
 
 def test_jacobi_series_depth_validation():
     with pytest.raises(ValueError):
-        jacobi_series([1], [], 4, depth=2)
+        jacobi_series([], [], 4)
     with pytest.raises(ValueError):
         jacobi_series([1, 1], [], 4)
 
@@ -983,6 +978,18 @@ def test_uniqueness_search_small():
             for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)}
     assert set(survivors) == want
     assert len(survivors) == 8
+
+
+def test_uniqueness_search_is_the_brute_force_list():
+    # every sequence whose completed minors (entry m completes the order
+    # m // 2 + 1 minor of the Hankel matrix for even m, of the shifted one
+    # for odd m) are all +-1, in the order itertools.product lists them
+    for length in range(2, 9):
+        want = [c for c in itertools.product((-1, 0, 1), repeat=length)
+                if all(det_int([list(c[i + m % 2:i + m % 2 + m // 2 + 1])
+                                for i in range(m // 2 + 1)]) in (-1, 1)
+                       for m in range(length))]
+        assert uniqueness_search(length) == want, length
 
 
 def test_uniqueness_search_guard():

@@ -500,6 +500,12 @@ def test_eps_diag_input_validation():
         gf2sign.general_eps_diag([1, 1], 16)
 
 
+def test_eps_guard_names_length_cover_and_size():
+    with pytest.raises(SizeGuardError) as info:
+        gf2sign.general_eps_diag([1, 1], 3)
+    assert str(info.value) == "eps of length 2 covers sizes up to 2, got size 3"
+
+
 # The product verifiers as they were before they streamed: dense int8
 # operands from build_tri, dense int64 products from signed_product and
 # dense expected matrices.  Kept as the reference the streamed verifiers

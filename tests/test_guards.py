@@ -82,6 +82,8 @@ SITES = [
     for name, (_, limit, _) in cli._SUITES.items() if limit is not None
 ] + [
     ("seq.fold_stream", seq.fold_stream, 1, seq.MAX_WORD_INDEX),
+    ("catalanz.catalan_triangle", catalanz.catalan_triangle,
+     1, catalanz.MAX_TRIANGLE_ROWS),
 ]
 
 # guards on a length or a shape, which has no value below 0
