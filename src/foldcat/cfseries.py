@@ -169,8 +169,8 @@ def mu_series(order: int) -> TruncSeries:
 
 
 def power_of_two_series(order: int) -> TruncSeries:
-    """Sum of x^(2^k), truncated."""
-    return _sparse_series(order, lambda k: 1 << k)
+    """Sum of x^(2^k), truncated: the limit of example 1."""
+    return _sparse_series(order, EXAMPLES[1][1])
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +331,25 @@ def cf_limit(numerators: Iterable[tuple[int, int]], order: int) -> TruncSeries:
         f"no stabilization to order {order} within {steps} steps")
 
 
-def _example_exponent(example: int, var_index: int) -> int:
-    if example == 1:
-        return 1
-    if example == 2:
-        return 1 + 3 ** (var_index - 1)
-    if example == 3:
-        return 1 + (var_index - 1) * math.factorial(var_index)
-    raise ValueError("example must be 1, 2 or 3")
+# example -> (the exponent e(v) that replaces x_v by x^e(v), the k-th
+# exponent of the series that the folded fraction then converges to)
+EXAMPLES = {
+    1: (lambda v: 1, lambda k: 1 << k),
+    2: (lambda v: 1 + 3 ** (v - 1), lambda k: 3 ** k),
+    3: (lambda v: 1 + (v - 1) * math.factorial(v),
+        lambda k: math.factorial(k + 1)),
+}
 
 
 def example_numerators(example: int) -> Iterator[tuple[int, int]]:
     """a_1 = x, then the folded word letters under the example substitution."""
+    if example not in EXAMPLES:
+        raise ValueError("example must be 1, 2 or 3")
+    exponent = EXAMPLES[example][0]
     yield (1, 1)
     for n in itertools.count(1):
         var, sign = seq.fold_stream(n)
-        yield (sign, _example_exponent(example, var))
+        yield (sign, exponent(var))
 
 
 def cf_limit_example(example: int, order: int) -> TruncSeries:
@@ -581,13 +584,10 @@ def orth_polys(n: int) -> list[list[int]]:
     Q_{k+1} = (x - d(k+1)) Q_k + Q_{k-1} with Q_0 = 1, Q_1 = x - 1.
     """
     check_range("size", n, 1, MAX_LU_SIZE)
-    mmat = gf2sign.build_tri(gf2sign.M, n)
-    rows = []
-    for i in range(n):
-        si = seq.s(i) * (-1) ** (i % 2)
-        row = [si * int(mmat[i, k]) * seq.s(k) * (-1) ** (k % 2)
-               for k in range(i + 1)]
-        rows.append(row)
+    signs = (gf2sign.sign_diag("s", n) * gf2sign.sign_diag("a", n)).tolist()
+    mmat = gf2sign.build_tri(gf2sign.M, n).tolist()
+    rows = [[signs[i] * mmat[i][k] * signs[k] for k in range(i + 1)]
+            for i in range(n)]
     for i in range(n):
         for j in range(i + 1):
             pairing = sum(a * b * seq.mu(k + m)
@@ -640,7 +640,7 @@ def uniqueness_check(c: Sequence[int]) -> UniquenessResult:
                 return UniquenessResult(False, None, order, which)
     eps = []
     for m, v in enumerate(c):
-        if (m + 1) & m == 0:  # m = 2^k - 1
+        if seq.mu(m):  # m = 2^k - 1
             eps.append(v)
         elif v != 0:
             return UniquenessResult(False, None, m, "pattern")
@@ -683,19 +683,10 @@ THM1_ORDERS = (600, 250, 750)
 def verify_thm1(orders: tuple[int, int, int] = THM1_ORDERS) -> VerifyReport:
     """Examples 1-3: the folded fraction reproduces its sparse series."""
     report = VerifyReport("thm1", max(orders))
-    targets = [
-        lambda t: power_of_two_series(t),
-        lambda t: _sparse_series(t, lambda k: 3 ** k),
-        lambda t: _sparse_series(t, _factorial_stream),
-    ]
-    for example, (order, target) in enumerate(zip(orders, targets), start=1):
+    for example, order in enumerate(orders, start=1):
         got = cf_limit_example(example, order)
-        want = target(order)
+        want = _sparse_series(order, EXAMPLES[example][1])
         if got != want:
             report.add(example, 0, want.nonzero_exponents(),
                        got.nonzero_exponents())
     return report
-
-
-def _factorial_stream(k: int) -> int:
-    return math.factorial(k + 1)

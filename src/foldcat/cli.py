@@ -191,7 +191,7 @@ def _run_unique_search(_size: int, _rng: random.Random) -> VerifyReport:
     length = 8
     report = VerifyReport("unique-search", length)
     survivors = set(cfseries.uniqueness_search(length))
-    slots = [m for m in range(length) if (m + 1) & m == 0]
+    slots = [m for m in range(length) if seq.mu(m)]
     expected = set()
     for signs in itertools.product((-1, 1), repeat=len(slots)):
         cand = [0] * length
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hankel)
 
     p = sub.add_parser("cf", help="continued-fraction limit of an example")
-    p.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--example", type=int, choices=cfseries.EXAMPLES,
+                   required=True)
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(fn=_cmd_cf)
 

@@ -96,8 +96,8 @@ def test_06_folded_fraction_limits():
     targets = [
         (1, 600, lambda t: power_of_two_series(t)),
         (2, 250, lambda t: cfseries._sparse_series(t, lambda k: 3 ** k)),
-        (3, 750, lambda t: cfseries._sparse_series(t,
-                                                   cfseries._factorial_stream)),
+        (3, 750, lambda t: cfseries._sparse_series(
+            t, lambda k: math.factorial(k + 1))),
     ]
     for example, order, target in targets:
         def check(example=example, order=order, target=target):

@@ -59,6 +59,21 @@ def test_triangle_first_rows():
         [[1], [1], [1, 1], [2, 1], [2, 3, 1], [5, 4, 1]]
 
 
+def test_triangle_entries_are_neighbour_sums():
+    # row r holds the entries at columns c = r mod 2, r mod 2 + 2, ..., r;
+    # each is its upper-left plus its upper-right neighbour, 0 off the row
+    tri = catalanz.catalan_triangle(300)
+    assert len(tri) == 300 and tri[0] == [1]
+    entry = {(r, r % 2 + 2 * j): v
+             for r, row in enumerate(tri) for j, v in enumerate(row)}
+    for r, row in enumerate(tri[1:], start=1):
+        assert len(row) == r // 2 + 1, r
+        for j, v in enumerate(row):
+            c = r % 2 + 2 * j
+            assert v == (entry.get((r - 1, c - 1), 0)
+                         + entry.get((r - 1, c + 1), 0)), (r, c)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
 def test_hankel_factorizations(n):
     assert catalanz.verify_catalan_lu(n).ok

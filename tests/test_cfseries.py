@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldcat import catalanz, cfseries, seq
+from foldcat import catalanz, cfseries, gf2sign, seq
 from foldcat.cfseries import (Mat2, MultiPoly, TruncSeries, cf_limit,
                               cf_limit_example, det_int, hankel_det,
                               hankel_lu_rational, hankel_minors,
@@ -183,6 +183,17 @@ def test_cf_limit_examples_small_orders():
     assert cf_limit_example(1, 40).nonzero_exponents() == [1, 2, 4, 8, 16, 32]
     assert cf_limit_example(2, 30).nonzero_exponents() == [1, 3, 9, 27]
     assert cf_limit_example(3, 30).nonzero_exponents() == [1, 2, 6, 24]
+
+
+@pytest.mark.parametrize("example", [-1, 0, 4])
+def test_invalid_example_is_refused(example):
+    # order 1 stabilises after the first numerator, so the example must be
+    # checked before that one is drawn
+    for order in (1, 40):
+        with pytest.raises(ValueError, match=r"^example must be 1, 2 or 3$"):
+            cf_limit_example(example, order)
+    with pytest.raises(ValueError, match=r"^example must be 1, 2 or 3$"):
+        next(cfseries.example_numerators(example))
 
 
 def test_cf_limit_rejects_constant_numerators():
@@ -820,6 +831,18 @@ def test_orth_polys_norms_are_signs():
         norm = sum(a * b * seq.mu(i + j) for i, a in enumerate(row)
                    for j, b in enumerate(row))
         assert norm == (-1) ** k
+
+
+def test_orth_polys_rows_are_signed_inverse_entries():
+    # row i of D_s D_a M D_a D_s, each sign taken from seq.s entry by entry
+    def sign(i):
+        return seq.s(i) * (-1) ** (i % 2)
+
+    for n in range(1, 65):
+        mmat = gf2sign.build_tri(gf2sign.M, n)
+        want = [[sign(i) * int(mmat[i, k]) * sign(k) for k in range(i + 1)]
+                for i in range(n)]
+        assert orth_polys(n) == want, n
 
 
 def test_orth_polys_guard():
