@@ -3,8 +3,10 @@
 Builds L, M, their shifted variants, the strictly-lower shifts, the sign
 diagonals, and the 0/1 Hankel matrices, and checks the factorization and
 inverse identities between them with exact integer arithmetic.
-Matrices are numpy int arrays, 0-indexed; the product verifiers hold their
-operands as packed bits and check their products one row block at a time.
+Matrices are numpy int arrays, 0-indexed.  The Gram and inverse identities
+are first decided by O(n^2) certificates; the products, for the identities
+without one and for those whose certificate fails, are checked one row block
+at a time, their operands held as packed bits.
 """
 
 from __future__ import annotations
@@ -62,11 +64,16 @@ def _row_blocks(n_rows: int, n_cols: int):
 def _tri_block(kind: str, n: int, start: int, stop: int,
                transpose: bool = False) -> np.ndarray:
     """Rows start..stop of the n x n matrix of the given kind, or of its
-    transpose, as int8: the one formula per kind."""
+    transpose, as int8."""
     # int32 holds 2n + 2 for every admitted n, at half the traffic of int64
     rows = np.arange(start, stop, dtype=np.int32)[:, None]
     cols = np.arange(n, dtype=np.int32)[None, :]
-    i, j = (cols, rows) if transpose else (rows, cols)
+    return _tri_entries(kind, *((cols, rows) if transpose else (rows, cols)))
+
+
+def _tri_entries(kind: str, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Entries (i, j) of the matrix of the given kind, for broadcasting
+    index arrays, as int8: the one formula per kind."""
     if kind in (LTILDE0, MTILDE0):  # row i is row i - 1 of the unshifted
         kind, i = (LTILDE if kind == LTILDE0 else MTILDE), i - 1
     if kind == L:
@@ -372,26 +379,149 @@ def _diag_rows(v: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _check_gram(report: VerifyReport, rows: np.ndarray, pivots: np.ndarray,
-                conj: np.ndarray, hankel) -> None:
-    """Compare D_c F D_p F^t D_c, F the matrix of the packed rows (which are
-    also the columns of F^t), p the pivots and c the conjugating signs, with
-    the Hankel rows hankel(start, stop), one row block at a time."""
-    for start, core in _product(rows, pivots, rows, rows.shape[1]):
+# Certificates: a statement is first decided in O(n^2) with no product, and
+# only a statement whose certificate fails takes its product, so every report
+# is the product's.  F = D_c T D_c, for the 0/1 triangle T of a kind and the
+# conjugating signs c, is certified as the moment matrix of a Jacobi matrix J
+# (Flajolet 1980, Viennot 1983): row 0 of F is e_0 and each row is the one
+# above it times J, l_(i+1) = l_i J.  J is tridiagonal, with ones above the
+# diagonal, a_k on it and b_k below it.
+
+
+def _signed_rows(kind: str, n: int, left: np.ndarray, right: np.ndarray,
+                 above: int):
+    """Yield (start, rows) over the row blocks of D_left T D_right, T the
+    n x n matrix of the kind, as int8: rows holds the `above` rows before
+    the block (zero before row 0), then the block."""
+    left, right = left.astype(np.int8), right.astype(np.int8)
+    prev = np.zeros((above, n), dtype=np.int8)
+    for start, stop in _row_blocks(n, n):
+        block = left[start:stop, None] * _tri_block(kind, n, start, stop)
+        rows = np.concatenate((prev, block * right))
+        yield start, rows
+        prev = rows[len(rows) - above:]
+
+
+def _jacobi(kind: str, n: int, conj: np.ndarray,
+            weights: np.ndarray | None = None):
+    """(a, b, F[:, 0], F . weights) if F = D_c T D_c is the moment matrix
+    of J, else None (F . weights is None without weights).
+
+    J is read off the first three diagonals of F, from the kind's formula:
+    a_k = F[k+1, k] - F[k, k-1] for k <= n - 2 and
+    b_(k+1) = F[k+2, k] - F[k+1, k-1] - a_k F[k+1, k] for k <= n - 3, the
+    other entries of a and b zero.  Then one pass over F's row blocks checks
+    that F[0] = e_0 and F[i+1] = F[i] J for i <= n - 2, in int8 once
+    |a| <= 2 and |b| <= 1 bound every sum by 4.  Entries of J past these
+    never meet a nonzero entry of F: the rows this accepts are lower
+    triangular, row by row from e_0.
+    """
+    def below(d):  # F[k + d, k]
+        k = np.arange(max(n - d, 0))
+        return conj[d:] * conj[:len(k)] * _tri_entries(kind, k + d, k)
+
+    sub1, sub2 = below(1), below(2)
+    a = np.zeros(n, dtype=np.int64)
+    b = np.zeros(n, dtype=np.int64)
+    a[:n - 1] = np.diff(sub1, prepend=0)
+    b[1:n - 1] = np.diff(sub2, prepend=0) - a[:len(sub2)] * sub1[:len(sub2)]
+    if np.abs(a).max() > 2 or np.abs(b).max() > 1:
+        return None
+    a8, b8 = a.astype(np.int8), b[1:].astype(np.int8)
+    first = np.empty(n, dtype=np.int8)
+    dot = None if weights is None else np.empty(n, dtype=np.int64)
+    for start, rows in _signed_rows(kind, n, conj, conj, 1):
+        block = rows[1:]
+        if start == 0 and (block[0, 1:].any() or block[0, 0] != 1):
+            return None
+        # the rows of rows[:-1] J, against the rows after them
+        step = rows[:-1] * a8
+        step[:, 1:] += rows[:-1, :-1]
+        step[:, :-1] += rows[:-1, 1:] * b8
+        skip = 1 if start == 0 else 0  # row 0 follows no row
+        if (step[skip:] != block[skip:]).any():
+            return None
+        first[start:start + len(block)] = block[:, 0]
+        if weights is not None:
+            dot[start:start + len(block)] = block @ weights
+    return a, b, first, dot
+
+
+def _is_inverse(jacobi, kind: str, n: int, conj: np.ndarray,
+                pivots: np.ndarray) -> bool:
+    """Whether T D_p U == D_p, for the (a, b, ...) of _jacobi(T, n, c) (None:
+    False), U the matrix of the kind and p = +-1 the pivots, in one pass
+    over the row blocks of V = D_p D_c U D_c.
+
+    It checks V[0] = p_0 e_0 and V[k+1] + a_k V[k] + b_k V[k-1] = V[k] X_p
+    for k <= n - 2, where V[-1] = 0 and (V[k] X_p)_j = p_(j-1) p_j V[k, j-1];
+    the left sides are J V's rows.  Then W = F V has W[0] = p_0 e_0 and
+    W[i+1] = F[i] J V = W[i] X_p, as F[i] reads rows <= n - 2 of J V, so
+    W = D_p and T D_p U = D_c W D_c = D_p.  The sums stay within 4, as in
+    _jacobi, so int8 holds them.  As D_p^2 = I, D_p U D_p is then the
+    two-sided inverse of T, and U D_p T = D_p too.
+    """
+    if jacobi is None:
+        return False
+    # a_k and b_k at index k + 1: the coefficients of the row after row k
+    a8 = np.concatenate(([0], jacobi[0][:-1])).astype(np.int8)[:, None]
+    b8 = np.concatenate(([0], jacobi[1][:-1])).astype(np.int8)[:, None]
+    twist = (pivots[:-1] * pivots[1:]).astype(np.int8)
+    for start, rows in _signed_rows(kind, n, pivots * conj, conj, 2):
+        block, cur, prev = rows[2:], rows[1:-1], rows[:-2]
+        if start == 0 and (block[0, 1:].any() or block[0, 0] != pivots[0]):
+            return False
+        stop = start + len(block)
+        lhs = block + a8[start:stop] * cur + b8[start:stop] * prev
+        rhs = np.zeros_like(cur)
+        rhs[:, 1:] = cur[:, :-1] * twist
+        skip = 1 if start == 0 else 0
+        if (lhs[skip:] != rhs[skip:]).any():
+            return False
+    return True
+
+
+def _check_gram(report: VerifyReport, kind: str, pivots: np.ndarray,
+                conj: np.ndarray, hankel):
+    """Compare G = D_c T D_p T^t D_c, T the matrix of the kind, p the pivots
+    and c the conjugating signs, with the Hankel rows hankel(start, stop);
+    return _jacobi's (a, b, ...) for F = D_c T D_c, or None.
+
+    The certificate: with F the moment matrix of J and b_(k+1) p_k = p_(k+1)
+    for k <= n - 3, J D_p is symmetric where F's rows reach it, so
+    G = F D_p F^t is Hankel: G[i+1, j] = F[i] J D_p F[j]^t = G[i, j+1].  It
+    then equals the Hankel target when its first column, F[:, 0] p_0, and
+    its last column, F (p o l_(n-1)), equal the target's first and last rows
+    (which are its first and last columns).  If that fails, G is formed from the packed rows of T, one row block at a
+    time, and compared.
+    """
+    n = len(pivots)
+    last = conj[n - 1] * _tri_block(kind, n, n - 1, n)[0] * conj
+    jacobi = _jacobi(kind, n, conj, pivots * last)
+    if jacobi is not None:
+        b, first, dot = jacobi[1:]
+        symmetric = b[1:n - 1] * pivots[:n - 2] == pivots[1:n - 1]
+        if symmetric.all() and (first * pivots[0] == hankel(0, 1)[0]).all() \
+                and (dot == hankel(n - 1, n)[0]).all():
+            return jacobi
+    rows = _packed(kind, n)
+    for start, core in _product(rows, pivots, rows, n):
         stop = start + len(core)
         report.compare(conj[start:stop, None] * core * conj[None, :],
                        hankel(start, stop), start)
+    return jacobi
 
 
 def verify_thm2(n: int) -> VerifyReport:
     """D_s L D_a L^t D_s == Hankel(mu).
 
-    At the limit, MAX_SIZE = 16384: 17-18 s and 130 MB child peak RSS
-    through the CLI on a 2-vCPU Xeon, like the budgets below.
+    At the limit, MAX_SIZE = 16384: 0.8-1.1 s and 33 MB child peak RSS
+    through the CLI on a 2-vCPU Xeon, like the budgets below, and 17-18 s
+    and 130 MB if the certificate fails and the product is formed.
     """
     check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm2", n)
-    _check_gram(report, _packed(L, n), sign_diag("a", n), sign_diag("s", n),
+    _check_gram(report, L, sign_diag("a", n), sign_diag("s", n),
                 partial(hankel_bits, MU_SHIFT0, n))
     return report
 
@@ -399,12 +529,16 @@ def verify_thm2(n: int) -> VerifyReport:
 def verify_thm3(n: int) -> VerifyReport:
     """L D_a M == D_a, and the signed inverse P (D_s L D_s) == identity.
 
-    At the limit, MAX_SIZE = 16384: 29 s and 161 MB.
+    At the limit, MAX_SIZE = 16384: 1.9-2.7 s and 32 MB; 29 s and 161 MB
+    with the products.
     """
     check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm3", n)
     sv = sign_diag("s", n)
     av = sign_diag("a", n)
+    # L D_a M = D_a gives M D_a L = D_a, which is the second identity
+    if _is_inverse(_jacobi(L, n, sv), M, n, sv, av):
+        return report
     for start, got in _product(_packed(L, n), av, _packed(M, n, True), n):
         report.compare(got, _diag_rows(av, start, start + len(got)), start)
     # P = D_s D_a M D_a D_s, so P (D_s L D_s) = D_s D_a M D_a L D_s, as
@@ -438,8 +572,8 @@ def verify_prop_mdl(n: int) -> VerifyReport:
 def verify_prop_ml_lm(n: int) -> VerifyReport:
     """ML entry pattern 0/1/2, LM block recursion, and both inverses.
 
-    At the limit, MAX_ML_LM_SIZE = 8192: 17 s and 192 MB, of which the int16
-    LM chain is 128 MB.
+    At the limit, MAX_ML_LM_SIZE = 8192: 3.4-4.1 s and 193 MB, of which the
+    int16 LM chain is 128 MB; 17 s with the inverses' products.
     """
     check_range("size", n, 1, MAX_ML_LM_SIZE)
     report = VerifyReport("ml-lm", n)
@@ -457,7 +591,11 @@ def verify_prop_ml_lm(n: int) -> VerifyReport:
         report.compare(got, chain[start:start + len(got), :n], start)
     del chain
     # ML D_a ML D_a == M (L D_a M) L D_a and LM D_a LM D_a == L (M D_a L) M D_a
-    # as integer matrices, multiplied out left . inner . right D_a; the rows
+    # are I once L D_a M = D_a, as then M D_a L = D_a too (thm3)
+    sv = sign_diag("s", n)
+    if _is_inverse(_jacobi(L, n, sv), M, n, sv, av):
+        return report
+    # otherwise both are multiplied out, left . inner . right D_a; the rows
     # of inner^t = left^t D_a right^t are the columns of inner, so its
     # packed planes serve as the right factor of left . inner
     ones = np.ones(n, dtype=np.int64)
@@ -479,19 +617,21 @@ def verify_prop_ml_lm(n: int) -> VerifyReport:
 def verify_thm5(n: int) -> VerifyReport:
     """Shifted-Hankel factorization, its inverses, and the interleavings.
 
-    At the limit, MAX_SIZE = 16384: 55 s and 227 MB.
+    At the limit, MAX_SIZE = 16384: 7.2-8.1 s and 33 MB, nearly all of it
+    the parity and interleaving checks; 55 s and 227 MB with the products.
     """
     check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm5", n)
-    ltrows, mtrows = _packed(LTILDE, n), _packed(MTILDE, n)
-    sv = sign_diag("stilde", n)
-    _check_gram(report, ltrows, sv, sign_diag("ttilde", n),
-                partial(hankel_bits, MU_SHIFT1, n))
-    for rows, cols in ((ltrows, _packed(MTILDE, n, True)),
-                       (mtrows, _packed(LTILDE, n, True))):
-        for start, got in _product(rows, sv, cols, n):
-            report.compare(got, _diag_rows(sv, start, start + len(got)),
-                           start)
+    sv, tv = sign_diag("stilde", n), sign_diag("ttilde", n)
+    jacobi = _check_gram(report, LTILDE, sv, tv,
+                         partial(hankel_bits, MU_SHIFT1, n))
+    # L~ D_s~ M~ = D_s~ gives M~ D_s~ L~ = D_s~
+    if not _is_inverse(jacobi, MTILDE, n, tv, sv):
+        for kinds in ((LTILDE, MTILDE), (MTILDE, LTILDE)):
+            for start, got in _product(_packed(kinds[0], n), sv,
+                                       _packed(kinds[1], n, True), n):
+                report.compare(got, _diag_rows(sv, start, start + len(got)),
+                               start)
     # parity vanishing and interleaving recursions
     j = np.arange(n)[None, :]
     for start, stop in _row_blocks(n, n):
@@ -585,6 +725,6 @@ def verify_eps(eps: list[int], n: int) -> VerifyReport:
     D_(s d) L D_a L^t D_(s d) == Hankel(eps), d = general_eps_diag(eps, n)."""
     report = VerifyReport("eps", n)
     conj = general_eps_diag(eps, n) * sign_diag("s", n)
-    _check_gram(report, _packed(L, n), sign_diag("a", n), conj,
+    _check_gram(report, L, sign_diag("a", n), conj,
                 partial(signed_hankel, eps, n))
     return report

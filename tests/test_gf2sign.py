@@ -645,6 +645,112 @@ def test_streamed_reports_match_dense_clean(name):
     assert_streamed_matches_dense(name, [*range(1, 301), *BIG_SIZES])
 
 
+# products a passing run forms: none where a certificate covers every
+# statement, and ml-lm's 0/1/2 pattern and LM chain, which have none
+PASSING_PRODUCTS = {"thm2": 0, "thm3": 0, "thm5": 0, "eps": 0, "ml-lm": 2}
+
+
+@pytest.mark.parametrize("name", PASSING_PRODUCTS)
+def test_passing_runs_form_only_uncertified_products(monkeypatch, name):
+    calls = []
+    accumulate = gf2sign._accumulate
+
+    def counted(*args):
+        calls.append(args)
+        return accumulate(*args)
+    monkeypatch.setattr(gf2sign, "_accumulate", counted)
+    for n in [*range(1, 301), *BIG_SIZES]:
+        calls.clear()
+        if name == "eps":
+            for eps in eps_draws(n, 3):
+                assert gf2sign.verify_eps(eps, n).ok, (n, eps)
+        else:
+            assert STREAMED[name][0](n).ok, (name, n)
+        assert len(calls) == PASSING_PRODUCTS[name], (name, n)
+
+
+def random_flips(count, seed):
+    """count (kind, n, i, j): a kind of ENTRY_FLIPS, a size in 2..96 and one
+    entry anywhere in the n x n square, above the diagonal too."""
+    rng = np.random.default_rng(seed)
+    flips = []
+    for _ in range(count):
+        kind = str(rng.choice(list(ENTRY_FLIPS)))
+        n = int(rng.integers(2, 97))
+        i, j = rng.integers(0, n, 2)
+        flips.append((kind, n, int(i), int(j)))
+    return flips
+
+
+@pytest.mark.parametrize("kind, n, i, j", random_flips(48, 2323))
+def test_random_flip_reports_match_dense(monkeypatch, kind, n, i, j):
+    monkeypatch.setattr(gf2sign, "_tri_block",
+                        flip_entries({kind: (i, j)}, None))
+    for name, (_, _, kinds) in STREAMED.items():
+        if kind in kinds:
+            assert_streamed_matches_dense(name, [n], eps_count=1)
+
+
+@pytest.mark.parametrize("kind", ENTRY_FLIPS)
+def test_zero_matrix_reports_match_dense(monkeypatch, kind):
+    # a zero F or V obeys every row recursion: only the checks of row 0
+    # reject it
+    block = gf2sign._tri_block
+
+    def zeroed(k, n, start, stop, transpose=False):
+        rows = block(k, n, start, stop, transpose)
+        return np.zeros_like(rows) if k == kind else rows
+    monkeypatch.setattr(gf2sign, "_tri_block", zeroed)
+    for name, (_, _, kinds) in STREAMED.items():
+        if kind in kinds:
+            assert_streamed_matches_dense(name, [1, 2, 7, 64], eps_count=1)
+
+
+@pytest.mark.parametrize("sign", ["a", "s", "stilde", "ttilde"])
+def test_negated_sign_reports_match_dense(monkeypatch, sign):
+    # a pivot of the wrong sign leaves F's rows intact; J D_p is then not
+    # symmetric, and G not Hankel
+    diag = gf2sign.sign_diag
+    for n in (2, 7, 64, 95):
+        for k in np.random.default_rng(n).integers(0, n, 3):
+            def negated(kind, size, k=int(k)):
+                out = diag(kind, size)
+                if kind == sign:
+                    out[k] = -out[k]
+                return out
+            monkeypatch.setattr(gf2sign, "sign_diag", negated)
+            for name in STREAMED:
+                assert_streamed_matches_dense(name, [n], eps_count=1)
+            monkeypatch.undo()
+
+
+def flip_antidiagonal(hankel, m):
+    """A Hankel row builder (hankel_bits or signed_hankel) whose value on
+    the antidiagonal i + j = m is v -> 1 - v."""
+    def faulty(source, n, start=0, stop=None):
+        rows = hankel(source, n, start, stop).copy()
+        i = np.arange(start, start + len(rows))[:, None]
+        on = i + np.arange(n)[None, :] == m
+        rows[on] = 1 - rows[on]
+        return rows
+    return faulty
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33, 64, 95])
+def test_wrong_hankel_target_is_caught(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    for m in rng.integers(0, 2 * n - 1, 3):
+        for name in ("hankel_bits", "signed_hankel"):
+            monkeypatch.setattr(gf2sign, name, flip_antidiagonal(
+                getattr(gf2sign, name), int(m)))
+        for name in ("thm2", "thm5", "eps"):
+            assert_streamed_matches_dense(name, [n], eps_count=1)
+        assert not gf2sign.verify_thm2(n).ok
+        assert not gf2sign.verify_thm5(n).ok
+        assert not gf2sign.verify_eps(eps_draws(n, 1)[0], n).ok
+        monkeypatch.undo()
+
+
 # each flipped kind against every verifier that reads it; every size to 300
 # is covered by the clean runs, the flips take every size to 80 and the
 # sizes around the larger powers of two
