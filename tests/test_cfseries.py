@@ -355,6 +355,73 @@ def test_cf_limit_examples_match_dense_oracle(example):
         assert cf_limit_example(example, order) == want, order
 
 
+# The sparse recurrence that cf_limit ran before its convergents became
+# dense arrays: each step one TruncSeries.add_shifted per convergent.  Kept
+# as the oracle of the dense kernel.
+
+def _sparse_cf_limit(numerators, order):
+    p_prev, q_prev = TruncSeries([1], order), TruncSeries([], order)
+    p_cur, q_cur = TruncSeries([], order), TruncSeries([1], order)
+    expsum = 0
+    steps = 0
+    for sign, exp in numerators:
+        if exp < 1:
+            raise ValueError("numerator exponents must be >= 1")
+        steps += 1
+        if steps > cfseries.CF_STEP_BUDGET:
+            break
+        p_prev, p_cur = p_cur, p_cur.add_shifted(p_prev, sign, exp)
+        q_prev, q_cur = q_cur, q_cur.add_shifted(q_prev, sign, exp)
+        expsum += exp
+        if expsum >= order:
+            cur = p_cur / q_cur
+            if cur == p_prev / q_prev:
+                return cur
+    raise NoConvergenceError(f"no stabilization to order {order}")
+
+
+@st.composite
+def _cf_cases(draw):
+    order = draw(st.integers(0, 96))
+    stream = draw(st.lists(st.tuples(
+        st.sampled_from((0, 1, -1, 5, -5, 1 << 70, -(1 << 70))),
+        st.integers(1, order + 3)), max_size=120))
+    return stream, order
+
+
+@given(_cf_cases())
+@settings(max_examples=300)
+def test_cf_limit_matches_sparse_oracle(case):
+    stream, order = case
+    assert _outcome(lambda: cf_limit(iter(stream), order)) == \
+        _outcome(lambda: _sparse_cf_limit(iter(stream), order))
+
+
+def test_cf_limit_order_zero_with_a_sign_beyond_int64():
+    for sign in (1 << 70, -(1 << 70), 1 << 62, -(1 << 63)):
+        got = cf_limit(iter([(sign, 1)]), 0)
+        assert got == _sparse_cf_limit(iter([(sign, 1)]), 0) \
+            == TruncSeries([], 0)
+
+
+def test_cf_limit_catalan_signs_beyond_int64():
+    # the all-plus stream at order 200: |coefficients| reach C_198 > 2^63,
+    # so the kernel must leave int64
+    order = 200
+    got = cf_limit(iter([(1, 1)] * 400), order)
+    assert max(abs(c) for c in got.terms.values()) >= 1 << 63
+    assert got == _sparse_cf_limit(iter([(1, 1)] * 400), order)
+    assert got.coeffs == [0] + [(-1) ** (k - 1) * catalanz.catalan(k - 1)
+                                for k in range(1, order)]
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_cf_limit_examples_match_sparse_oracle_at_the_limit(example):
+    order = cfseries.MAX_CF_ORDER
+    assert cf_limit_example(example, order) == \
+        _sparse_cf_limit(cfseries.example_numerators(example), order)
+
+
 # ---------------------------------------------------------------------------
 # Jacobi fractions and moment functionals
 

@@ -142,10 +142,44 @@ def test_fold_word_against_brute_recursion():
         assert seq.fold_word(k) == brute_word(k)
 
 
+def _descent_letter(n):
+    """The n-th letter by walking down the levels of W_k: the reference
+    that fold_stream's closed form is checked against."""
+    k = 1
+    while seq.word_length(k) < n:
+        k += 1
+    while k > 1:
+        m = seq.word_length(k - 1)
+        if n <= m:
+            k -= 1
+        elif n == m + 1:
+            return seq.FoldLetter(k, 1)
+        elif n == m + 2:
+            return seq.FoldLetter(k, -1)
+        else:
+            n = 2 * m + 3 - n  # position inside the reversed copy of W_{k-1}
+            k -= 1
+    return seq.FoldLetter(1, -1 if n == 1 else 1)
+
+
 def test_fold_stream_matches_words():
-    word = seq.fold_word(10)
+    word = seq.fold_word(12)
     for n, letter in enumerate(word, start=1):
         assert seq.fold_stream(n) == letter
+
+
+def test_fold_stream_matches_descent_near_powers_of_two():
+    indices = {n for k in range(1, 65) for n in range((1 << k) - 2,
+                                                      (1 << k) + 3)}
+    indices = sorted(n for n in indices if 1 <= n <= seq.MAX_WORD_INDEX)
+    assert indices[-1] == seq.MAX_WORD_INDEX
+    for n in indices:
+        assert seq.fold_stream(n) == _descent_letter(n), n
+
+
+@given(st.integers(1, seq.MAX_WORD_INDEX))
+def test_fold_stream_matches_descent(n):
+    assert seq.fold_stream(n) == _descent_letter(n)
 
 
 def test_fold_word_guard():
@@ -155,6 +189,32 @@ def test_fold_word_guard():
         seq.fold_word(0)
 
 
+def _example1_sign_recursion(n):
+    """w(4i+1) = -w(4i+2) = (-1)^(i+1); w(8i+3) = -w(8i+4) = (-1)^i;
+    w(8i+7) = -w(8i+8) = w(4i+3): the recursion that example1_sign
+    followed before it read the letter stream, kept as its reference."""
+    r4 = n % 4
+    if r4 == 1:
+        return -1 if (n // 4) % 2 == 0 else 1
+    if r4 == 2:
+        return 1 if ((n - 2) // 4) % 2 == 0 else -1
+    r8 = n % 8
+    if r8 == 3:
+        return 1 if (n // 8) % 2 == 0 else -1
+    if r8 == 4:
+        return -1 if ((n - 4) // 8) % 2 == 0 else 1
+    if r8 == 7:
+        return _example1_sign_recursion(n // 2)  # 4i+3 with i = n//8
+    # r8 == 0, n = 8i+8
+    return -_example1_sign_recursion((n - 8) // 2 + 3)
+
+
 def test_example1_sign_matches_stream():
     for n in range(1, 5000):
-        assert seq.example1_sign(n) == seq.fold_stream(n).sign
+        assert seq.example1_sign(n) == _example1_sign_recursion(n) \
+            == seq.fold_stream(n).sign
+
+
+@given(st.integers(1, seq.MAX_WORD_INDEX))
+def test_example1_sign_matches_recursion(n):
+    assert seq.example1_sign(n) == _example1_sign_recursion(n)
