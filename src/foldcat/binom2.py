@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# the parity of the n-th Catalan number, 1 iff n + 1 is a power of two
+from .seq import mu as catalan_is_odd  # noqa: F401
+
 
 def binom_mod2(n: int, k: int) -> int:
     """C(n, k) mod 2, total in k (0 outside 0 <= k <= n)."""
@@ -42,10 +45,3 @@ def carry_count(a: int, b: int) -> int:
     if a < 0 or b < 0:
         raise ValueError("arguments must be nonnegative")
     return ((a + b) ^ a ^ b).bit_count()
-
-
-def catalan_is_odd(n: int) -> int:
-    """1 iff the n-th Catalan number is odd, i.e. iff n+1 is a power of two."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return 1 if (n + 1) & n == 0 else 0

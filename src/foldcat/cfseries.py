@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +28,8 @@ MAX_LU_SIZE = 64
 # foldcat dets --max 2048, the Stieltjes table of the mu moments: 0.9-1.1 s
 # and 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11); the time grows as n^2
 MAX_DET_SIZE = 2048
+# hankel_minors past a zero minor, one det_int per order: see its docstring
+MAX_DET_FALLBACK_SIZE = 64
 # depth n reads the table of H(n + 1); foldcat jacobi --depth 2047: 1.0-1.4 s
 # and 30.5 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
 MAX_JACOBI_DEPTH = MAX_DET_SIZE - 1
@@ -35,7 +38,7 @@ MAX_UNIQUE_LEN = 2 * MAX_DET_SIZE
 # foldcat cf --example 1 --order 10000, the slowest example (time grows as
 # order^2): 0.20-0.23 s and 31.4 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
 MAX_CF_ORDER = 10000
-# verify_lemma5(6), six variables (all that x_polys admits): 0.11-0.14 s and
+# verify_lemma5(6), six variables (all that x_polys admits): 13-19 ms and
 # 30 MB peak RSS on a 2-vCPU Xeon (Python 3.11)
 MAX_LEMMA5_LEVEL = 6
 # uniqueness_search(10), 16 survivors: 2 ms and 30 MB peak RSS, same host
@@ -179,23 +182,25 @@ def power_of_two_series(order: int) -> TruncSeries:
 # sparse multivariate polynomials with integer coefficients
 
 class MultiPoly:
-    """Polynomial in x1..x_nvars, exponent-tuple -> int coefficient."""
+    """Polynomial in x1, x2, ...: terms maps a monomial, its exponent tuple
+    cut after the last nonzero exponent (1 is (), x2 is (0, 1)), to its
+    nonzero int coefficient, so a polynomial has one encoding whatever the
+    variables it was built from."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
+    def __init__(self, terms: dict | None = None):
         self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
-    def const(cls, c: int, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: c})
+    def const(cls, c: int) -> "MultiPoly":
+        return cls({(): c})
 
     @classmethod
-    def var(cls, index: int, nvars: int, sign: int = 1) -> "MultiPoly":
-        e = [0] * nvars
-        e[index - 1] = 1
-        return cls(nvars, {tuple(e): sign})
+    def var(cls, index: int, sign: int = 1) -> "MultiPoly":
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        return cls({(0,) * (index - 1) + (1,): sign})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -204,37 +209,34 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        # exponents add position by position, the longer tuple's tail follows
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = (*map(add, e1, e2), *(e1[len(e2):] or e2[len(e1):]))
                 out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(out)
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.nvars}, {self.terms!r})"
+        return f"MultiPoly({self.terms!r})"
 
 
 class Mat2(NamedTuple):
-    """2x2 matrix over any ring with + and *."""
+    """The 2x2 matrix [[a, b], [c, d]] over any ring with + and *."""
 
     a: object
     b: object
     c: object
     d: object
-
-    def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
-                    self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -242,34 +244,30 @@ class Mat2(NamedTuple):
 
 def word_matrix(word: Sequence[seq.FoldLetter]) -> Mat2:
     """Product of [[0, u], [1, 1]] over the letters u = sign * x_var of the
-    word, with multivariate polynomial entries in x_1..x_nvars, nvars the
-    largest variable index of the word (1 for the empty word)."""
+    word, as MultiPoly entries.  One letter takes [[a, b], [c, d]] to
+    [[b, a u + b], [d, c u + d]], cf_limit's recurrence C_k = C_(k-1) +
+    u_k C_(k-2) from P_(-1) = Q_0 = 1 and P_0 = Q_(-1) = 0: the product is
+    [[P_(k-1), P_k], [Q_(k-1), Q_k]], two polynomial products per letter."""
     check_range("word length", len(word), 0, MAX_WORD_LEN)
-    nvars = max((let.var_index for let in word), default=1)
-    check_range("variable count", nvars, 1, MAX_VARS)
-    letters = [MultiPoly.var(let.var_index, nvars, let.sign) for let in word]
-    one = MultiPoly.const(1, nvars)
-    zero = MultiPoly.const(0, nvars)
-    out = Mat2(one, zero, zero, one)
-    for u in letters:
-        out = out @ Mat2(zero, u, one, one)
-    return out
+    for let in word:
+        check_range("variable index", let.var_index, 1, MAX_VARS)
+    one, zero = MultiPoly.const(1), MultiPoly()
+    a, b, c, d = one, zero, zero, one
+    for let in word:
+        u = MultiPoly.var(let.var_index, let.sign)
+        a, b, c, d = b, a * u + b, d, c * u + d
+    return Mat2(a, b, c, d)
 
 
 def x_polys(k: int) -> tuple[MultiPoly, MultiPoly]:
-    """The closed-form convergent polynomials X_k and its sign-flipped twin."""
+    """X_k = 1 + the sum over j = 1..k of x1^(2^(j-1)) ... x(j-1)^2 xj, the
+    closed-form convergent polynomial, and its twin with the j = k term
+    negated."""
     check_range("k", k, 0, MAX_VARS)
-    nvars = max(k, 1)
-    x = MultiPoly.const(1, nvars)
-    x_t = MultiPoly.const(1, nvars)
-    for j in range(1, k + 1):
-        e = [0] * nvars
-        for i in range(1, j + 1):
-            e[i - 1] = 1 << (j - i)
-        term = MultiPoly(nvars, {tuple(e): 1})
-        x = x + term
-        x_t = (x_t + term) if j < k else (x_t - term)
-    return x, x_t
+    terms = [tuple(1 << (j - i) for i in range(1, j + 1))
+             for j in range(k + 1)]
+    x = MultiPoly(dict.fromkeys(terms, 1))
+    return x, (MultiPoly({**x.terms, terms[-1]: -1}) if k else x)
 
 
 def verify_lemma5(n: int) -> VerifyReport:
@@ -279,24 +277,21 @@ def verify_lemma5(n: int) -> VerifyReport:
     word = seq.fold_word(n)
     xn, xn_t = x_polys(n)
     xprev, _ = x_polys(n - 1)
-    # X_(n-1) embedded into the n variables of X_n
-    xprev = MultiPoly(n, {e + (0,) * (n - xprev.nvars): c
-                          for e, c in xprev.terms.items()})
     sq = xprev * xprev
-    one = MultiPoly.const(1, n)
+    one = MultiPoly.const(1)
     got = word_matrix(word)
-    for g_mat, e_mat in ((got, Mat2(xn_t - sq, one - xn, sq, xn)),
-                         (word_matrix(word[::-1]),
-                          Mat2(xn - sq, one - xn_t, sq, xn_t))):
-        for pos, (g, e) in enumerate(zip(g_mat, e_mat)):
-            if g != e:
-                report.add(pos // 2, pos % 2, e.terms, g.terms)
-    # partial convergent identity: prefixing the unit numerator gives X_n
-    m = Mat2(MultiPoly.const(0, n), one, one, one) @ got
-    if m.b != xn:
-        report.add(0, 1, xn.terms, m.b.terms)
-    if m.d != one:
-        report.add(1, 1, one.terms, m.d.terms)
+    # (position in the matrix, (expected, got)): both products, then the
+    # partial convergent identity, where prefixing [[0, 1], [1, 1]] gives
+    # b' = d and d' = b + d, which must be X_n and 1
+    checks = [*enumerate(zip(Mat2(xn_t - sq, one - xn, sq, xn), got)),
+              *enumerate(zip(Mat2(xn - sq, one - xn_t, sq, xn_t),
+                             word_matrix(word[::-1]))),
+              (1, (xn, got.d)), (3, (one, got.b + got.d))]
+    for pos, (want, g) in checks:
+        if g != want:  # the terms as tuples of all n exponents
+            report.add(pos // 2, pos % 2, *(
+                {e + (0,) * (n - len(e)): c for e, c in p.terms.items()}
+                for p in (want, g)))
     return report
 
 
@@ -582,13 +577,21 @@ def det_int(mat: list[list[int]]) -> int:
 
 
 def hankel_minors(moments: Moments, n: int) -> list[int]:
-    """det H(1), ..., det H(n) of an integer moment sequence: the Stieltjes
-    table up to its first zero minor, then det_int for the larger orders."""
+    """det H(1), ..., det H(n) of int moments (else ValueError): the
+    Stieltjes table up to its first zero minor, then det_int for each larger
+    order, so n is then held to MAX_DET_FALLBACK_SIZE = 64: with seeded +-1
+    moments and m_0 = 0, 64 takes 0.3-0.45 s and 128 6 s on a 2-vCPU Xeon."""
     check_range("size", n, 1, MAX_DET_SIZE)
     values = [moments(k) for k in range(2 * n - 1)]
+    for k, v in enumerate(values):  # int() and // would truncate the rest
+        if not isinstance(v, int):
+            raise ValueError(f"moment {k} must be an int, got {v!r}")
     # int() is exact: the minors of an integer Hankel matrix are integers
     minors = [int(minor) for _, minor, *_ in
               _stieltjes(values.__getitem__, 2 * n - 1)]
+    if len(minors) < n:
+        check_range(f"size past the zero minor of order {len(minors)}", n,
+                    1, MAX_DET_FALLBACK_SIZE)
     return minors + [det_int([values[i:i + k] for i in range(k)])
                      for k in range(len(minors) + 1, n + 1)]
 

@@ -184,10 +184,13 @@ def test_12_bitwise_binomials_against_oracles():
                     break
                 c = c * (n - k) // (k + 1)
             pairs += n + 1
+        # the Catalan numbers by C(n + 1) = C(n) 2 (2n + 1) / (n + 2)
+        c = 1
         for n in range(1 << 14):
-            if catalan_is_odd(n) != seq.mu(n):
-                problems.append(f"Catalan parity != mu at {n}")
+            if catalan_is_odd(n) != c & 1:
+                problems.append(f"Catalan parity mismatch at {n}")
                 break
+            c = c * 2 * (2 * n + 1) // (n + 2)
         return problems
     gate(12, "Lucas/Kummer bit rules vs big-integer oracles", 5, check)
 

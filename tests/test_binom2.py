@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldcat import seq
 from foldcat.binom2 import (binom_mod2, binom_mod2_grid, carry_count,
                             catalan_is_odd)
 
@@ -98,6 +99,11 @@ def test_carry_count_kummer(a, b):
 def test_carry_count_rejects_negative():
     with pytest.raises(ValueError):
         carry_count(-1, 1)
+
+
+def test_catalan_parity_is_mu():
+    # one definition: the Catalan parity is the power-of-two indicator
+    assert catalan_is_odd is seq.mu
 
 
 def test_catalan_parity_oracle():

@@ -4,13 +4,14 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foldcat import catalanz, cfseries, gf2sign, seq
 from foldcat.cfseries import (Mat2, MultiPoly, TruncSeries, cf_limit,
@@ -72,12 +73,36 @@ def test_named_series():
 # multivariate word matrices and the closed forms
 
 def test_multipoly_ring_axioms_small():
-    x1 = MultiPoly.var(1, 2)
-    x2 = MultiPoly.var(2, 2)
-    one = MultiPoly.const(1, 2)
+    x1 = MultiPoly.var(1)
+    x2 = MultiPoly.var(2)
+    one = MultiPoly.const(1)
     assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
     assert (one + x1) * (one + x1) == one + x1 + x1 + x1 * x1
-    assert x1 - x1 == MultiPoly.const(0, 2)
+    assert x1 - x1 == MultiPoly.const(0)
+
+
+def test_multipoly_across_variable_counts():
+    # a monomial is its exponent tuple cut after the last nonzero exponent,
+    # so polynomials built in different numbers of variables still compare
+    x1, x2, x3 = (MultiPoly.var(i) for i in (1, 2, 3))
+    one = MultiPoly.const(1)
+    assert x2 * one == x2 and one * x2 == x2
+    assert one + x2 == x2 + one
+    assert (one + x2).terms == {(): 1, (0, 1): 1}
+    assert x1 * x3 == MultiPoly({(1, 0, 1): 1})
+    assert (x3 * x1 * x3).terms == {(1, 0, 2): 1}
+    assert x2 * x3 - x3 * x2 == MultiPoly.const(0) == MultiPoly()
+    built = ((one + x3) - x3, x2 * one - x2 + one,
+             (x1 - one) * (x1 + one) - x1 * x1 + one + one,
+             MultiPoly({(): 1}), x_polys(0)[0])
+    for poly in built:
+        assert poly == one and poly.terms == {(): 1}
+
+
+def test_multipoly_var_refuses_index_below_one():
+    for index in (0, -1):
+        with pytest.raises(ValueError, match=f"got {index}$"):
+            MultiPoly.var(index)
 
 
 def test_word_matrix_determinant():
@@ -85,19 +110,53 @@ def test_word_matrix_determinant():
     for k in (1, 2, 3):
         word = seq.fold_word(k)
         det = word_matrix(word).det()
-        want = MultiPoly.const(1, k)
+        want = MultiPoly.const(1)
         for letter in word:
-            want = want * (-MultiPoly.var(letter.var_index, k, letter.sign))
+            want = want * (-MultiPoly.var(letter.var_index, letter.sign))
         assert det == want
+
+
+def _generic_word_matrix(word):
+    """The letter-by-letter product of generic 2x2 matrices, eight
+    polynomial products per letter: the oracle for word_matrix."""
+    def matmul(m, o):
+        return Mat2(m.a * o.a + m.b * o.c, m.a * o.b + m.b * o.d,
+                    m.c * o.a + m.d * o.c, m.c * o.b + m.d * o.d)
+
+    one, zero = MultiPoly.const(1), MultiPoly.const(0)
+    out = Mat2(one, zero, zero, one)
+    for letter in word:
+        u = MultiPoly.var(letter.var_index, letter.sign)
+        out = matmul(out, Mat2(zero, u, one, one))
+    return out
+
+
+@given(st.lists(st.builds(seq.FoldLetter, st.integers(1, cfseries.MAX_VARS),
+                          st.sampled_from((-1, 1))), max_size=40))
+@example([seq.FoldLetter(1 + i % 3, (-1) ** (i // 2)) for i in range(40)])
+@settings(max_examples=60, deadline=None)
+def test_word_matrix_matches_generic_product(word):
+    assert word_matrix(word) == _generic_word_matrix(word)
+
+
+def test_word_matrix_refuses_every_out_of_range_index():
+    # every letter is checked, not only the largest index: index 0 would
+    # otherwise read as another variable
+    for bad in (0, -1, -5, cfseries.MAX_VARS + 1):
+        for word in ([seq.FoldLetter(bad, 1), seq.FoldLetter(2, 1)],
+                     [seq.FoldLetter(2, 1), seq.FoldLetter(bad, -1)]):
+            with pytest.raises(SizeGuardError, match=(
+                    rf"\[1, {cfseries.MAX_VARS}\], got {bad}$")):
+                word_matrix(word)
 
 
 def test_x_polys_closed_values():
     x1, x1t = x_polys(1)
-    assert x1 == MultiPoly(1, {(0,): 1, (1,): 1})          # 1 + x1
-    assert x1t == MultiPoly(1, {(0,): 1, (1,): -1})        # 1 - x1
+    assert x1 == MultiPoly({(): 1, (1,): 1})          # 1 + x1
+    assert x1t == MultiPoly({(): 1, (1,): -1})        # 1 - x1
     x2, x2t = x_polys(2)
-    assert x2 == MultiPoly(2, {(0, 0): 1, (1, 0): 1, (2, 1): 1})
-    assert x2t == MultiPoly(2, {(0, 0): 1, (1, 0): 1, (2, 1): -1})
+    assert x2 == MultiPoly({(): 1, (1,): 1, (2, 1): 1})
+    assert x2t == MultiPoly({(): 1, (1,): 1, (2, 1): -1})
 
 
 def test_x_polys_guard():
@@ -119,7 +178,7 @@ def test_lemma5_reports_wrong_word_matrix_entries(monkeypatch):
     def wrong(word):
         got = real(word)
         calls.append(word)
-        one = MultiPoly.const(1, got.a.nvars)
+        one = MultiPoly.const(1)
         if len(calls) == 1:
             return got._replace(b=got.b + one)
         return got._replace(c=got.c - one)
@@ -144,7 +203,7 @@ def test_lemma5_reports_both_convergent_entries_of_a_wrong_d(monkeypatch):
         got = real(word)
         calls.append(word)
         if len(calls) == 1:
-            return got._replace(d=got.d + MultiPoly.const(1, got.d.nvars))
+            return got._replace(d=got.d + MultiPoly.const(1))
         return got
 
     monkeypatch.setattr(cfseries, "word_matrix", wrong)
@@ -864,6 +923,18 @@ def test_hankel_minors_guard():
         with pytest.raises(SizeGuardError,
                            match=rf"\[1, {cfseries.MAX_DET_SIZE}\]"):
             hankel_minors(seq.mu, n)
+
+
+def test_hankel_minors_refuses_non_int_moments():
+    # each would be truncated: int() of a Fraction minor gave [0, 0, 0], and
+    # det_int's // floors a float
+    cases = [(lambda k: Fraction(1, k + 2), 0, Fraction(1, 2)),
+             (lambda k: [1, 1, 0.5, 1, 1][k], 2, 0.5),
+             (lambda k: Fraction(k), 0, Fraction(0))]
+    for moments, index, value in cases:
+        with pytest.raises(ValueError, match=re.escape(
+                f"moment {index} must be an int, got {value!r}")):
+            hankel_minors(moments, 3)
 
 
 def test_hankel_minors_at_the_size_limit_match_the_sign_formula():

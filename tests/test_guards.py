@@ -158,3 +158,31 @@ def test_suite_clamp_is_admitted_by_its_verifier(name):
     run, _, clamp = cli._SUITES[name]
     report = run(clamp, random.Random(0))
     assert report.ok and report.size == clamp
+
+
+@pytest.mark.parametrize("values, zero_order", [
+    ([0] + [random.Random(25).choice((-1, 1)) for _ in range(4096)], 1),
+    ([1, 2, 4, 3, 5] + [1] * 4096, 2),
+])
+def test_hankel_minors_past_a_zero_minor_is_held_before_det_int(
+        monkeypatch, values, zero_order):
+    # past the first zero minor every larger order is a det_int of its own,
+    # so the size is held to MAX_DET_FALLBACK_SIZE, checked before the first
+    calls = []
+    real = cfseries.det_int
+
+    def counted(mat):
+        calls.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(cfseries, "det_int", counted)
+    limit = cfseries.MAX_DET_FALLBACK_SIZE
+    for n in (limit + 1, cfseries.MAX_DET_SIZE):
+        with pytest.raises(SizeGuardError, match=(
+                rf"zero minor of order {zero_order} must be in "
+                rf"\[1, {limit}\], got {n}$")):
+            cfseries.hankel_minors(values.__getitem__, n)
+    assert calls == []
+    minors = cfseries.hankel_minors(values.__getitem__, limit)
+    assert len(minors) == limit and minors[zero_order - 1] == 0
+    assert calls == list(range(zero_order + 1, limit + 1))
