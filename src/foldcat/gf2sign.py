@@ -3,10 +3,11 @@
 Builds L, M, their shifted variants, the strictly-lower shifts, the sign
 diagonals, and the 0/1 Hankel matrices, and checks the factorization and
 inverse identities between them with exact integer arithmetic.
-Matrices are numpy int arrays, 0-indexed.  The Gram and inverse identities
-are first decided by O(n^2) certificates; the products, for the identities
-without one and for those whose certificate fails, are checked one row block
-at a time, their operands held as packed bits.
+Matrices are numpy int arrays, 0-indexed.  The Gram and inverse identities,
+mdl and ml-lm's 0/1/2 pattern are first decided by O(n^2) certificates; the
+products, for ml-lm's LM chain, which has none, and for the statements whose
+certificate fails, are checked one row block at a time, their operands held
+as packed bits.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def _accumulate(passes: list, n_rows: int, n_cols: int):
     total = np.empty((step, n_cols), dtype=np.min_scalar_type(words * 64))
     for start, stop in blocks:
         m = stop - start
-        out = np.zeros((m, n_cols), dtype=np.int64)
+        out = None if passes else np.zeros((m, n_cols), dtype=np.int64)
         for weight, rows, cols in passes:
             span = spans[id(cols)]
             block = rows[:, start:stop]
@@ -284,7 +285,10 @@ def _accumulate(passes: list, n_rows: int, n_cols: int):
                 np.bitwise_count(anded, out=counted)
                 part = total[:m, lo:hi]
                 np.add(part, counted, out=part)
-            out += np.int64(weight) * total[:m]
+            # the first pass's block is the sum so far, so a one-pass
+            # product holds one int64 block, not a zeroed one and a temporary
+            weighted = np.int64(weight) * total[:m]
+            out = weighted if out is None else np.add(out, weighted, out=out)
         yield start, out
 
 
@@ -448,10 +452,12 @@ def _jacobi(kind: str, n: int, conj: np.ndarray,
 
 
 def _is_inverse(jacobi, kind: str, n: int, conj: np.ndarray,
-                pivots: np.ndarray) -> bool:
-    """Whether T D_p U == D_p, for the (a, b, ...) of _jacobi(T, n, c) (None:
-    False), U the matrix of the kind and p = +-1 the pivots, in one pass
-    over the row blocks of V = D_p D_c U D_c.
+                pivots: np.ndarray, pattern: bool = False):
+    """(T D_p U == D_p, U T == 2A + I), for the (a, b, ...) of
+    _jacobi(T, n, c) (None: both False), U the matrix of the kind, p = +-1
+    the pivots and A the ones strictly below the diagonal, in one pass over
+    the row blocks of V = D_p D_c U D_c.  The second is checked only with
+    pattern, and holds only with the first.
 
     It checks V[0] = p_0 e_0 and V[k+1] + a_k V[k] + b_k V[k-1] = V[k] X_p
     for k <= n - 2, where V[-1] = 0 and (V[k] X_p)_j = p_(j-1) p_j V[k, j-1];
@@ -460,25 +466,41 @@ def _is_inverse(jacobi, kind: str, n: int, conj: np.ndarray,
     W = D_p and T D_p U = D_c W D_c = D_p.  The sums stay within 4, as in
     _jacobi, so int8 holds them.  As D_p^2 = I, D_p U D_p is then the
     two-sided inverse of T, and U D_p T = D_p too.
+
+    The pattern: with X = D_p U D_p = T^-1, U T = 2A + I exactly when
+    U = (2A + I) X, and as (I - Z)(2A + I) = I + Z, Z the shift one row
+    down, exactly when U[k] - U[k-1] = X[k] + X[k-1] for every k, with
+    U[-1] = X[-1] = 0: the first difference of the running column sum
+    2 cumsum(X) - X, so no sum is carried.  Times D_c on the right, with
+    y_k = c_k V[k], that is p_k y_k - p_(k-1) y_(k-1) = (y_k + y_(k-1)) o p,
+    whose sides stay within 2 in int8.
     """
     if jacobi is None:
-        return False
+        return False, False
     # a_k and b_k at index k + 1: the coefficients of the row after row k
     a8 = np.concatenate(([0], jacobi[0][:-1])).astype(np.int8)[:, None]
     b8 = np.concatenate(([0], jacobi[1][:-1])).astype(np.int8)[:, None]
     twist = (pivots[:-1] * pivots[1:]).astype(np.int8)
+    # c_k and p_k at index k + 1, so that index 0 is row -1
+    c8 = np.concatenate(([0], conj)).astype(np.int8)[:, None]
+    p8 = np.concatenate(([0], pivots)).astype(np.int8)[:, None]
     for start, rows in _signed_rows(kind, n, pivots * conj, conj, 2):
         block, cur, prev = rows[2:], rows[1:-1], rows[:-2]
         if start == 0 and (block[0, 1:].any() or block[0, 0] != pivots[0]):
-            return False
+            return False, False
         stop = start + len(block)
         lhs = block + a8[start:stop] * cur + b8[start:stop] * prev
         rhs = np.zeros_like(cur)
         rhs[:, 1:] = cur[:, :-1] * twist
         skip = 1 if start == 0 else 0
         if (lhs[skip:] != rhs[skip:]).any():
-            return False
-    return True
+            return False, False
+        if pattern:  # rows k - 1 and k of y, for the rows k of the block
+            y = rows[1:] * c8[start:stop + 1]
+            py = y * p8[start:stop + 1]
+            pattern = not ((py[1:] - py[:-1]) != (y[1:] + y[:-1])
+                           * p8[1:, 0]).any()
+    return True, pattern
 
 
 def _check_gram(report: VerifyReport, kind: str, pivots: np.ndarray,
@@ -537,7 +559,7 @@ def verify_thm3(n: int) -> VerifyReport:
     sv = sign_diag("s", n)
     av = sign_diag("a", n)
     # L D_a M = D_a gives M D_a L = D_a, which is the second identity
-    if _is_inverse(_jacobi(L, n, sv), M, n, sv, av):
+    if _is_inverse(_jacobi(L, n, sv), M, n, sv, av)[0]:
         return report
     for start, got in _product(_packed(L, n), av, _packed(M, n, True), n):
         report.compare(got, _diag_rows(av, start, start + len(got)), start)
@@ -551,13 +573,37 @@ def verify_thm3(n: int) -> VerifyReport:
     return report
 
 
+def _is_strictly_lower(n: int) -> bool:
+    """Whether the A_STRICT rows at size n are the ones strictly below the
+    diagonal, read one row block at a time."""
+    j = np.arange(n)[None, :]
+    return all((_tri_block(A_STRICT, n, start, stop)
+                == (np.arange(start, stop)[:, None] > j)).all()
+               for start, stop in _row_blocks(n, n))
+
+
 def verify_prop_mdl(n: int) -> VerifyReport:
     """M D_e L == A + D_e and M D_o L == A + D_o.
 
-    At the limit, MAX_SIZE = 16384: 16 s and 131 MB.
+    The certificate: _is_inverse(_jacobi(L, n, s), M, n, s, a, True) decides
+    L D_a M = D_a, so M D_a L = D_a, and M L = 2A + I, in one pass over M's
+    rows.  With D_e = (I + D_a)/2, M D_e L = (M L + M D_a L)/2 = A + D_e,
+    and with D_o = (I - D_a)/2, M D_o L = (M L - M D_a L)/2 = A + D_o.  Those
+    two premises, and that A is the ones strictly below the diagonal, are
+    checked in O(n) and O(n^2) against the sign_diag and _tri_block calls
+    the products are compared with, and a failed one takes the products.
+
+    At the limit, MAX_SIZE = 16384: 3.1-3.9 s and 32 MB child peak RSS
+    through the CLI on a 2-vCPU Xeon; 15 s and 131 MB with the products.
     """
     check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("mdl", n)
+    av, sv = sign_diag("a", n), sign_diag("s", n)
+    if (2 * sign_diag("e", n) == 1 + av).all() \
+            and (2 * sign_diag("o", n) == 1 - av).all() \
+            and _is_strictly_lower(n) \
+            and all(_is_inverse(_jacobi(L, n, sv), M, n, sv, av, True)):
+        return report
     mrows, lcols = _packed(M, n), _packed(L, n, True)
     for kind in ("e", "o"):
         mask = sign_diag(kind, n)
@@ -572,32 +618,36 @@ def verify_prop_mdl(n: int) -> VerifyReport:
 def verify_prop_ml_lm(n: int) -> VerifyReport:
     """ML entry pattern 0/1/2, LM block recursion, and both inverses.
 
-    At the limit, MAX_ML_LM_SIZE = 8192: 3.4-4.1 s and 193 MB, of which the
-    int16 LM chain is 128 MB; 17 s with the inverses' products.
+    One pass of _is_inverse decides L D_a M = D_a and, from it, the pattern
+    ML = 2A + I (see verify_prop_mdl); LM is always multiplied out against
+    the chain.  At the limit, MAX_ML_LM_SIZE = 8192: 1.9-3.0 s and 177 MB, of
+    which the int16 LM chain is 128 MB; 17 s and 193 MB with every product.
     """
     check_range("size", n, 1, MAX_ML_LM_SIZE)
     report = VerifyReport("ml-lm", n)
-    lmat = _packed(L, n), _packed(L, n, True)  # (rows, columns)
-    mmat = _packed(M, n), _packed(M, n, True)
-    av = sign_diag("a", n)
-    j = np.arange(n)[None, :]
-    for start, got in _product(mmat[0], None, lmat[1], n):
-        i = np.arange(start, start + len(got))[:, None]
-        report.compare(got, np.where(i < j, 0, np.where(i == j, 1, 2)),
-                       start)
-    steps = max(0, (max(n - 1, 1)).bit_length() - 1)
-    chain = babab_expand(LM_RULE, steps)
-    for start, got in _product(lmat[0], None, mmat[1], n):
-        report.compare(got, chain[start:start + len(got), :n], start)
-    del chain
+    av, sv = sign_diag("a", n), sign_diag("s", n)
     # ML D_a ML D_a == M (L D_a M) L D_a and LM D_a LM D_a == L (M D_a L) M D_a
     # are I once L D_a M = D_a, as then M D_a L = D_a too (thm3)
-    sv = sign_diag("s", n)
-    if _is_inverse(_jacobi(L, n, sv), M, n, sv, av):
+    inverse, pattern = _is_inverse(_jacobi(L, n, sv), M, n, sv, av, True)
+    if not pattern:
+        j = np.arange(n)[None, :]
+        for start, got in _product(_packed(M, n), None, _packed(L, n, True),
+                                   n):
+            i = np.arange(start, start + len(got))[:, None]
+            report.compare(got, np.where(i < j, 0, np.where(i == j, 1, 2)),
+                           start)
+    steps = max(0, (max(n - 1, 1)).bit_length() - 1)
+    chain = babab_expand(LM_RULE, steps)
+    for start, got in _product(_packed(L, n), None, _packed(M, n, True), n):
+        report.compare(got, chain[start:start + len(got), :n], start)
+    del chain
+    if inverse:
         return report
     # otherwise both are multiplied out, left . inner . right D_a; the rows
     # of inner^t = left^t D_a right^t are the columns of inner, so its
     # packed planes serve as the right factor of left . inner
+    lmat = _packed(L, n), _packed(L, n, True)  # (rows, columns)
+    mmat = _packed(M, n), _packed(M, n, True)
     ones = np.ones(n, dtype=np.int64)
     for (left_rows, left_cols), (right_rows, right_cols) in ((mmat, lmat),
                                                              (lmat, mmat)):
@@ -617,8 +667,13 @@ def verify_prop_ml_lm(n: int) -> VerifyReport:
 def verify_thm5(n: int) -> VerifyReport:
     """Shifted-Hankel factorization, its inverses, and the interleavings.
 
-    At the limit, MAX_SIZE = 16384: 7.2-8.1 s and 33 MB, nearly all of it
-    the parity and interleaving checks; 55 s and 227 MB with the products.
+    The parity check and the four interleavings read one evaluation of L~
+    and M~ per row block, over rows 2s..2t at size n: the parity check all
+    of it, the even rows and columns against rows s..t of L and M at
+    h = n // 2, the odd ones against rows s..t of L~ and M~ at h.  Each
+    check keeps its own failures, reported in the order parity, L, M, L~,
+    M~.  At the limit, MAX_SIZE = 16384: 3.4-3.7 s and 34 MB, about half of
+    it the parity and interleaving checks; 55 s and 227 MB with the products.
     """
     check_range("size", n, 1, MAX_SIZE)
     report = VerifyReport("thm5", n)
@@ -626,29 +681,33 @@ def verify_thm5(n: int) -> VerifyReport:
     jacobi = _check_gram(report, LTILDE, sv, tv,
                          partial(hankel_bits, MU_SHIFT1, n))
     # L~ D_s~ M~ = D_s~ gives M~ D_s~ L~ = D_s~
-    if not _is_inverse(jacobi, MTILDE, n, tv, sv):
+    if not _is_inverse(jacobi, MTILDE, n, tv, sv)[0]:
         for kinds in ((LTILDE, MTILDE), (MTILDE, LTILDE)):
             for start, got in _product(_packed(kinds[0], n), sv,
                                        _packed(kinds[1], n, True), n):
                 report.compare(got, _diag_rows(sv, start, start + len(got)),
                                start)
-    # parity vanishing and interleaving recursions
-    j = np.arange(n)[None, :]
-    for start, stop in _row_blocks(n, n):
-        i = np.arange(start, stop)[:, None]
-        lt = _tri_block(LTILDE, n, start, stop)
-        report.compare(lt * ((i - j) % 2 == 1), np.zeros_like(lt), start)
-    # rows and columns of the kind at size n taken with step 2 from offset,
-    # against the leading block of want_kind at want_size
     h = n // 2
-    for kind, offset, want_kind, want_size in (
-            (LTILDE, 0, L, h), (MTILDE, 0, M, h),
-            (LTILDE, 1, LTILDE, n), (MTILDE, 1, MTILDE, n)):
-        for start, stop in _row_blocks(h, 2 * n):
-            got = _tri_block(kind, n, 2 * start + offset,
-                             2 * stop + offset - 1)[::2, offset:2 * h:2]
-            want = _tri_block(want_kind, want_size, start, stop)[:, :h]
-            report.compare(got, want, start)
+    parts = [VerifyReport("thm5", n) for _ in range(5)]
+    blocks = list(_row_blocks(n - h, 2 * n))  # of row pairs
+    # (i - j) odd, for rows i from an even one on: where L~ must vanish
+    odd = ((np.arange(2 * blocks[0][1])[:, None] ^ np.arange(n)) & 1) \
+        .astype(np.int8)
+    for start, stop in blocks:
+        lo, hi = 2 * start, min(2 * stop, n)
+        lt = _tri_block(LTILDE, n, lo, hi)
+        mt = _tri_block(MTILDE, n, lo, hi)
+        parts[0].compare(lt * odd[:hi - lo], np.zeros_like(lt), lo)
+        top = min(stop, h)
+        if top == start:  # the last row of an odd n
+            continue
+        for part, rows, offset, want in zip(
+                parts[1:], (lt, mt, lt, mt), (0, 0, 1, 1),
+                (L, M, LTILDE, MTILDE)):
+            part.compare(rows[offset:2 * (top - start):2, offset:2 * h:2],
+                         _tri_block(want, h, start, top), start)
+    for part in parts:
+        report.merge(part)
     return report
 
 

@@ -46,7 +46,10 @@ class VerifyReport:
         NumPy integer scalars are reported as python ints; the python ints
         and Fractions of object arrays are reported as they are.
         """
-        for i, j in np.argwhere(got != expected):
+        differ = got != expected
+        if not differ.any():  # a matching block costs one scan, no argwhere
+            return
+        for i, j in np.argwhere(differ):
             self.add(int(i) + row, int(j), _plain(expected[i, j]),
                      _plain(got[i, j]))
 

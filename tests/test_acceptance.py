@@ -262,15 +262,15 @@ def test_15_integer_matrices_reduce_to_bit_matrices():
     gate(15, "integer matrices mod 2 equal the bit matrices at 64", 5, check)
 
 
-# The Gram and inverse statements at 2048, where their certificates decide
-# them in O(n^2): about 0.5 s on a 2-vCPU Xeon, where their products took
-# about 2.6 s.
+# The Gram, inverse and mdl statements at 2048, where their certificates
+# decide them in O(n^2): about 0.5 s on a 2-vCPU Xeon, where their products
+# took about 2.8 s.
 def test_16_certified_statements_at_2048():
     def check():
         n = 2048
         problems = []
         for verify in (gf2sign.verify_thm2, gf2sign.verify_thm3,
-                       gf2sign.verify_thm5):
+                       gf2sign.verify_thm5, gf2sign.verify_prop_mdl):
             problems += report_problems(verify(n))
         rng = random.Random(16)
         for t in range(10):
@@ -280,4 +280,5 @@ def test_16_certified_statements_at_2048():
                 problems.append(f"draw {t} eps={eps}: "
                                 f"{report_problems(report)[:3]}")
         return problems
-    gate(16, "thm2, thm3, thm5 and 10 sign-twisted draws at 2048", 3, check)
+    gate(16, "thm2, thm3, thm5, mdl and 10 sign-twisted draws at 2048", 3,
+         check)

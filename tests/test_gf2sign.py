@@ -646,8 +646,9 @@ def test_streamed_reports_match_dense_clean(name):
 
 
 # products a passing run forms: none where a certificate covers every
-# statement, and ml-lm's 0/1/2 pattern and LM chain, which have none
-PASSING_PRODUCTS = {"thm2": 0, "thm3": 0, "thm5": 0, "eps": 0, "ml-lm": 2}
+# statement, and ml-lm's LM chain, which has none
+PASSING_PRODUCTS = {"thm2": 0, "thm3": 0, "thm5": 0, "eps": 0, "mdl": 0,
+                    "ml-lm": 1}
 
 
 @pytest.mark.parametrize("name", PASSING_PRODUCTS)
@@ -706,10 +707,11 @@ def test_zero_matrix_reports_match_dense(monkeypatch, kind):
             assert_streamed_matches_dense(name, [1, 2, 7, 64], eps_count=1)
 
 
-@pytest.mark.parametrize("sign", ["a", "s", "stilde", "ttilde"])
+@pytest.mark.parametrize("sign", ["a", "s", "stilde", "ttilde", "e", "o"])
 def test_negated_sign_reports_match_dense(monkeypatch, sign):
     # a pivot of the wrong sign leaves F's rows intact; J D_p is then not
-    # symmetric, and G not Hankel
+    # symmetric, and G not Hankel; a negated 1 of D_e or D_o breaks mdl's
+    # premise D_e = (I + D_a)/2 or D_o = (I - D_a)/2
     diag = gf2sign.sign_diag
     for n in (2, 7, 64, 95):
         for k in np.random.default_rng(n).integers(0, n, 3):
@@ -784,6 +786,118 @@ def test_streamed_reports_match_dense_in_small_blocks(monkeypatch, rows):
             assert_streamed_matches_dense(name, [n], eps_count=1)
         assert gf2sign.verify_babab(n).as_dict() == \
             per_level_oracle_babab(n).as_dict(), n
+
+
+def test_mdl_premises_reach_the_products(monkeypatch):
+    # D_e with its first 1 negated, then A with one entry flipped below and
+    # one above the diagonal: the certificate would pass, the premises fail
+    diag = gf2sign.sign_diag
+
+    def negated(kind, size):
+        out = diag(kind, size)
+        if kind == "e":
+            out[0] = -out[0]
+        return out
+    monkeypatch.setattr(gf2sign, "sign_diag", negated)
+    assert_streamed_matches_dense("mdl", [1, 2, 64, 129])
+    # at n = 1 the identity holds with the negated sign too
+    assert gf2sign.verify_prop_mdl(1).ok
+    assert not gf2sign.verify_prop_mdl(2).ok
+    monkeypatch.undo()
+    for entry in ((3, 1), (1, 3)):
+        monkeypatch.setattr(gf2sign, "_tri_block",
+                            flip_entries({gf2sign.A_STRICT: entry}, None))
+        assert_streamed_matches_dense("mdl", [*range(1, 41), 64, 127, 128])
+        assert not gf2sign.verify_prop_mdl(4).ok
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_inverse_without_the_pattern_reaches_the_products(monkeypatch,
+                                                          rows):
+    # L and M cut to their leading 32 x 32 blocks, the identity past them,
+    # in the one formula per kind, which _jacobi reads J from too: row 32 of
+    # the true L is e_32 + e_31, so the cut F is still the moment matrix of
+    # a (different) J, and L D_a M = D_a holds and its certificate passes;
+    # but M L = 2A + I fails from row 32 on, so mdl and ml-lm take their
+    # products
+    entries = gf2sign._tri_entries
+
+    def cut(kind, i, j):
+        if kind in (gf2sign.L, gf2sign.M):
+            inside = (i < 32) & (j < 32)
+            return np.where(inside, entries(kind, i, j), i == j) \
+                .astype(np.int8)
+        return entries(kind, i, j)
+    monkeypatch.setattr(gf2sign, "_tri_entries", cut)
+    for n in (1, 2, 32, 33, 64, 65, 100):
+        if rows is not None:
+            monkeypatch.setattr(gf2sign, "_BLOCK_ENTRIES", rows * n)
+        sv, av = gf2sign.sign_diag("s", n), gf2sign.sign_diag("a", n)
+        assert gf2sign._is_inverse(gf2sign._jacobi(gf2sign.L, n, sv),
+                                   gf2sign.M, n, sv, av, True) \
+            == (True, n <= 32)
+        assert_streamed_matches_dense("mdl", [n])
+        assert_streamed_matches_dense("ml-lm", [n])
+        assert gf2sign.verify_prop_mdl(n).ok == (n <= 32)
+
+
+# flips landing in each of thm5's pointwise checks: L~[9, 4] in the parity
+# check, and L~[10, 3] there in the unpaired last row at n = 11, L~[8, 2] in
+# the even rows and columns (against L), M~[6, 4] in the even ones (against
+# M) and, as a target entry, in the odd ones (against M~), L~[9, 5] in the
+# odd ones (against L~) on both sides
+THM5_FLIPS = {
+    "parity": [(gf2sign.LTILDE, (9, 4))],
+    "parity, last row": [(gf2sign.LTILDE, (10, 3))],
+    "L": [(gf2sign.LTILDE, (8, 2))],
+    "M": [(gf2sign.MTILDE, (6, 4))],
+    "L~": [(gf2sign.LTILDE, (9, 5))],
+    "all": [(gf2sign.LTILDE, (9, 4)), (gf2sign.LTILDE, (8, 2)),
+            (gf2sign.MTILDE, (6, 4)), (gf2sign.LTILDE, (9, 5))],
+}
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65])
+@pytest.mark.parametrize("flip", THM5_FLIPS)
+def test_thm5_pointwise_flips_match_dense_in_small_blocks(monkeypatch, rows,
+                                                          flip):
+    # the checks share row blocks of rows 2s..2t, so block edges move with
+    # the block size; failures come parity first, then L, M, L~, M~
+    for kind, entry in THM5_FLIPS[flip]:
+        monkeypatch.setattr(gf2sign, "_tri_block",
+                            flip_entries({kind: entry}, None))
+    for n in [1, 2, 3, 10, 11, 12, 19, 20, 63, 64, 65, 66, 127, 128, 130]:
+        monkeypatch.setattr(gf2sign, "_BLOCK_ENTRIES", rows * n)
+        assert_streamed_matches_dense("thm5", [n])
+    monkeypatch.setattr(gf2sign, "_BLOCK_ENTRIES", 1 << 16)
+    assert not gf2sign.verify_thm5(20).ok
+
+
+def test_ml_pattern_certificate_reads_no_carried_sum(monkeypatch):
+    # 2 cumsum(X) - X would reach 2n = 32768 at MAX_SIZE, past int16; the
+    # check reads each row of the int8 V against the row above it alone, so
+    # the last rows at MAX_SIZE, given without the rows before them, pass,
+    # and fail with one entry of M flipped
+    n = gf2sign.MAX_SIZE
+    start = n - 5
+
+    def last_rows(kind, size, left, right, above):
+        rows = gf2sign._tri_block(kind, size, start - above, size) \
+            * left[start - above:, None].astype(np.int8) \
+            * right.astype(np.int8)
+        assert rows.dtype == np.int8
+        yield start, rows
+    monkeypatch.setattr(gf2sign, "_signed_rows", last_rows)
+    sv, av = gf2sign.sign_diag("s", n), gf2sign.sign_diag("a", n)
+
+    def certified():
+        return gf2sign._is_inverse(gf2sign._jacobi(gf2sign.L, n, sv),
+                                   gf2sign.M, n, sv, av, True)
+    assert certified() == (True, True)
+    monkeypatch.setattr(gf2sign, "_tri_block",
+                        flip_entries({gf2sign.M: (n - 2, n - 4)}, None))
+    assert not certified()[1]
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 200])
